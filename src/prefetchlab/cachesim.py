@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .trace import MissRecord, TraceRecord
 
 
@@ -77,12 +77,17 @@ class SimStats:
     levels: list[LevelStats] = field(default_factory=list)
 
     def check(self) -> None:
-        """Assert the conservation invariants."""
+        """Raise DataError unless the conservation invariants hold."""
         for i, lv in enumerate(self.levels):
-            assert lv.accesses == lv.hits + lv.misses, f"level {i} counter mismatch"
-            if i + 1 < len(self.levels):
-                assert self.levels[i + 1].accesses == lv.misses, (
-                    f"level {i + 1} accesses != level {i} misses"
+            if lv.accesses != lv.hits + lv.misses:
+                raise DataError(
+                    f"level {i} counter mismatch: {lv.accesses} accesses != "
+                    f"{lv.hits} hits + {lv.misses} misses"
+                )
+            if i + 1 < len(self.levels) and self.levels[i + 1].accesses != lv.misses:
+                raise DataError(
+                    f"level {i + 1} accesses {self.levels[i + 1].accesses} != "
+                    f"level {i} misses {lv.misses}"
                 )
 
 

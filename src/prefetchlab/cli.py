@@ -360,9 +360,6 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="YAML config file")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default="out", help="artifact directory (default: out)")
-    common.add_argument(
-        "--workers", type=int, default=1, help="reserved; the implementation is single threaded"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _STAGES:
         sub.add_parser(name, parents=[common], help=f"run the {name} stage")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError
+from .errors import ConfigError, DataError, TraceFormatError, read_exact
 from .trace import MissRecord, signed_delta
 from .vocab import DeltaRecord, delta_values
 
@@ -55,7 +55,11 @@ def kmeans_fit(
         dist = np.abs(x[:, None] - centroids[None, :])
         assign = np.argmin(dist, axis=1)
         inertia = float(np.sum((x - centroids[assign]) ** 2))
-        assert inertia <= prev_inertia * (1 + 1e-12) + 1e-9, "inertia increased"
+        # Lloyd iterations never raise inertia; `not <=` also catches NaN
+        if not inertia <= prev_inertia * (1 + 1e-12) + 1e-9:
+            raise DataError(
+                f"k-means inertia rose from {prev_inertia} to {inertia} at iteration {n_iters}"
+            )
         prev_inertia = inertia
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -201,13 +205,15 @@ def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray | None]:
         magic = f.read(len(KMEANS_MAGIC))
         if magic != KMEANS_MAGIC:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        version, k, n_iters, inertia, has_norms = _KM_HEADER.unpack(f.read(_KM_HEADER.size))
+        version, k, n_iters, inertia, has_norms = _KM_HEADER.unpack(
+            read_exact(f, _KM_HEADER.size, path)
+        )
         if version != KMEANS_VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
-        centroids = np.frombuffer(f.read(8 * k), dtype="<f8").copy()
+        centroids = np.frombuffer(read_exact(f, 8 * k, path), dtype="<f8").copy()
         norms = None
         if has_norms:
-            norms = np.frombuffer(f.read(16 * k), dtype="<f8").reshape(k, 2).copy()
+            norms = np.frombuffer(read_exact(f, 16 * k, path), dtype="<f8").reshape(k, 2).copy()
     model = ClusterModel(k=k, centroids=centroids, n_iters=n_iters, inertia=inertia)
     return model, norms
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds-checked read
+through which the binary artifact loaders report truncation."""
+
+import os
 
 
 class ConfigError(ValueError):
@@ -15,3 +18,19 @@ class TraceParseError(ValueError):
 
 class DataError(ValueError):
     """Input data violates an operation precondition (e.g. too short)."""
+
+
+def read_exact(f, n: int, path) -> bytes:
+    """Read exactly `n` bytes from binary file `f`.
+
+    Raises TraceFormatError naming `path` and the byte offset when fewer
+    than `n` bytes remain, before allocating anything for the read.
+    """
+    offset = f.tell()
+    available = os.fstat(f.fileno()).st_size - offset
+    if n > available:
+        raise TraceFormatError(
+            f"{path}: truncated at byte offset {offset + available}: "
+            f"needed {n} bytes from offset {offset}"
+        )
+    return f.read(n)

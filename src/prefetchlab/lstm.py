@@ -13,22 +13,20 @@ candidate cell value. Forget-gate biases initialize to 1.0.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError
+from .errors import TraceFormatError, read_exact
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid exp overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument cannot overflow; per sign this is
+    # 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)), the split-sign formulas
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def uniform_init(shape, scale: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
@@ -51,10 +49,11 @@ def lstm_cell_forward(x, h_prev, c_prev, W, b):
     H = h_prev.shape[1]
     xh = np.concatenate([x, h_prev], axis=1)
     z = xh @ W.T + b
-    i = sigmoid(z[:, :H])
-    f = sigmoid(z[:, H : 2 * H])
-    g = np.tanh(z[:, 2 * H : 3 * H])
-    o = sigmoid(z[:, 3 * H :])
+    # one sigmoid pass over all four gates, then tanh over the g slice;
+    # i, f, g, o are views of the one activation array
+    a = sigmoid(z)
+    np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+    i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -154,12 +153,6 @@ def lstm_backward(dH_top, caches, Ws):
 # ---------------------------------------------------------------------------
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over valid positions; labels < 0 are ignored.
 
@@ -169,16 +162,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     valid = labels >= 0
     n_valid = int(valid.sum())
-    probs = softmax_probs(logits)
-    dlogits = probs.copy()
     if n_valid == 0:
         return 0.0, np.zeros_like(logits), 0
     idx = np.nonzero(valid)[0]
     lab = labels[idx]
-    # max-subtracted log-softmax for the picked classes
+    # max-subtracted: exp(z) <= 1, and one row sum serves loss and softmax
     z = logits - logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=-1))
+    dlogits = np.exp(z)
+    sums = dlogits.sum(axis=-1, keepdims=True)
+    logsumexp = np.log(sums[:, 0])
     loss = float(np.sum(logsumexp[idx] - z[idx, lab]) / n_valid)
+    dlogits /= sums
     dlogits[idx, lab] -= 1.0
     dlogits[~valid] = 0.0
     dlogits /= n_valid
@@ -186,10 +180,28 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k class ids, highest score first; ties break to the lower id."""
-    k = min(k, scores.shape[-1])
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return order[..., :k]
+    """Top-k class ids, highest score first; ties break to the lower id.
+
+    Equal to ``np.argsort(-scores, kind="stable")[..., :k]`` (NaN ranks
+    last). argpartition picks k survivors per row, which are then ordered
+    by (score desc, id asc). A row whose k-th score is NaN or is tied with
+    a score outside the survivors takes the stable sort instead, since
+    argpartition breaks such ties arbitrarily.
+    """
+    neg = -scores.reshape(math.prod(scores.shape[:-1]), scores.shape[-1])
+    n = neg.shape[1]
+    k = min(k, n)
+    if not 0 < k < n:
+        out = np.argsort(neg, axis=-1, kind="stable")[:, :k]
+    else:
+        part = np.argpartition(neg, k - 1, axis=-1)[:, :k]
+        vals = np.take_along_axis(neg, part, axis=-1)
+        out = np.take_along_axis(part, np.lexsort((part, vals), axis=-1), axis=-1)
+        kth = vals.max(axis=-1, keepdims=True)
+        redo = np.nonzero(np.isnan(kth[:, 0]) | (np.count_nonzero(neg <= kth, axis=-1) > k))[0]
+        if len(redo):
+            out[redo] = np.argsort(neg[redo], axis=-1, kind="stable")[:, :k]
+    return out.reshape(scores.shape[:-1] + out.shape[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +332,21 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise TraceFormatError(f"{path}: not a checkpoint file")
-        version, meta_len = struct.unpack("<II", f.read(8))
+        version, meta_len = struct.unpack("<II", read_exact(f, 8, path))
         if version != CKPT_VERSION:
             raise TraceFormatError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(f.read(meta_len).decode())
-        (count,) = struct.unpack("<I", f.read(4))
+        meta = json.loads(read_exact(f, meta_len, path).decode())
+        (count,) = struct.unpack("<I", read_exact(f, 4, path))
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-            (dlen,) = struct.unpack("<H", f.read(2))
-            dtype = np.dtype(f.read(dlen).decode())
+            (nlen,) = struct.unpack("<H", read_exact(f, 2, path))
+            name = read_exact(f, nlen, path).decode()
+            (ndim,) = struct.unpack("<B", read_exact(f, 1, path))
+            shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path)) if ndim else ()
+            (dlen,) = struct.unpack("<H", read_exact(f, 2, path))
+            dtype = np.dtype(read_exact(f, dlen, path).decode())
             n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-            arr = np.frombuffer(f.read(n_bytes), dtype=dtype).reshape(shape).copy()
+            arr = np.frombuffer(read_exact(f, n_bytes, path), dtype=dtype).reshape(shape).copy()
             arrays[name] = arr
     return arrays, meta
 
-
-def require_positive(name: str, value: int) -> int:
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value

@@ -19,6 +19,7 @@ emitted as a prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,7 +433,8 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
     Windows advance along columns with recurrent state carried between
     them; state resets when the data wraps. `callback(step, model)` runs
     every `eval_every` steps and stops training by returning True.
-    Returns per-step history entries {step, loss, grad_norm}.
+    Returns per-step history entries {step, loss, grad_norm}. Raises
+    DataError at the first non-finite loss, before it reaches the weights.
     """
     rows, cols = batches["label"].shape
     if cols < 1:
@@ -450,6 +452,8 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
         inputs = [batches[key][:, sl].T for key in model.input_keys]
         labels = batches["label"][:, sl].T
         loss, grads, states = model.loss_and_grads(*inputs, labels, states)
+        if not math.isfinite(loss):
+            raise DataError(f"non-finite training loss {loss} at step {step}")
         norm = clip_global_norm(grads, cfg.clip)
         if cfg.optimizer == "adam":
             adam_step(model.params, grads, opt_state, lr=cfg.lr)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, TraceFormatError
+from .errors import DataError, TraceFormatError, read_exact
 from .trace import MissRecord, signed_delta
 
 
@@ -256,16 +256,18 @@ def load_vocab(path) -> DeltaVocab:
         magic = f.read(len(VOCAB_MAGIC))
         if magic != VOCAB_MAGIC:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        version, max_output, min_count, n = _VOCAB_HEADER.unpack(f.read(_VOCAB_HEADER.size))
+        version, max_output, min_count, n = _VOCAB_HEADER.unpack(
+            read_exact(f, _VOCAB_HEADER.size, path)
+        )
         if version != VOCAB_VERSION:
             raise TraceFormatError(f"{path}: unsupported vocab version {version}")
-        counts = Counter()
-        expected_ids = {}
-        for _ in range(n):
-            delta, count, class_id = _VOCAB_ENTRY.unpack(f.read(_VOCAB_ENTRY.size))
-            counts[delta] = count
-            if class_id >= 0:
-                expected_ids[delta] = class_id
+        entries = read_exact(f, n * _VOCAB_ENTRY.size, path)
+    counts = Counter()
+    expected_ids = {}
+    for delta, count, class_id in _VOCAB_ENTRY.iter_unpack(entries):
+        counts[delta] = count
+        if class_id >= 0:
+            expected_ids[delta] = class_id
     vocab = DeltaVocab(counts, max_output, min_count)
     if vocab._input_id != expected_ids:
         raise TraceFormatError(f"{path}: stored class ids do not match counts")

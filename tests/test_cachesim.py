@@ -8,7 +8,7 @@ from prefetchlab.cachesim import (
     default_broadwell_config,
     simulate,
 )
-from prefetchlab.errors import ConfigError
+from prefetchlab.errors import ConfigError, DataError
 from prefetchlab.trace import StrideSpec, TraceRecord, generate_synthetic
 
 
@@ -69,6 +69,20 @@ def test_multi_level_stats_chain():
     assert stats.levels[0].accesses == len(trace)
     # cold strided trace misses everywhere
     assert len(misses) == len(trace)
+
+
+def test_stats_check_raises_on_doctored_counters():
+    _, stats = simulate(generate_synthetic(StrideSpec(length=500, stride=64)),
+                        default_broadwell_config())
+    stats.check()
+    stats.levels[0].hits += 1
+    with pytest.raises(DataError, match="level 0 counter mismatch"):
+        stats.check()
+    stats.levels[0].hits -= 1
+    stats.levels[2].accesses -= 1
+    stats.levels[2].misses -= 1
+    with pytest.raises(DataError, match="level 2 accesses"):
+        stats.check()
 
 
 def test_multi_level_small_working_set_hits_upper_levels():

@@ -123,6 +123,32 @@ def test_runtime_errors_exit_1(tmp_path):
     assert run("simulate", bad_path, out) == 1
 
 
+@pytest.mark.parametrize(
+    "cfg,stages,artifacts",
+    [
+        (STRIDE_CFG, ("simulate", "vocab", "train"), ("model.bin", "vocab.bin")),
+        (REGION_CFG, ("simulate", "cluster", "train"), ("clusters.bin",)),
+    ],
+)
+def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, stages, artifacts):
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in stages:
+        assert run(stage, cfg_path, out) == 0
+    for artifact in artifacts:
+        path = out / artifact
+        data = path.read_bytes()
+        offsets = sorted({o for o in (0, 10, 40, 200, len(data) // 2, len(data) - 1) if o < len(data)})
+        for offset in offsets:
+            path.write_bytes(data[:offset])
+            capsys.readouterr()
+            assert run("eval", cfg_path, out) == 1, (artifact, offset)
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, offset, lines)
+            assert artifact in lines[0]
+        path.write_bytes(data)
+
+
 def test_export_requires_delta_embeddings(tmp_path):
     cfg = dict(STRIDE_CFG)
     cfg["model"] = dict(STRIDE_CFG["model"], modality="pc_only")

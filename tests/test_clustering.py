@@ -14,7 +14,7 @@ from prefetchlab.clustering import (
     partition_stream,
     save_cluster_model,
 )
-from prefetchlab.errors import ConfigError, TraceFormatError
+from prefetchlab.errors import ConfigError, DataError, TraceFormatError
 from prefetchlab.trace import MissRecord
 
 
@@ -73,6 +73,12 @@ def test_kmeans_validation():
         kmeans_fit([1, 1, 1], k=2)
     with pytest.raises(ConfigError):
         kmeans_fit([1, 2, 3], k=0)
+
+
+def test_kmeans_inertia_check_raises():
+    # a NaN address makes the inertia NaN, which fails the no-increase check
+    with pytest.raises(DataError, match="inertia rose"):
+        kmeans_fit([0.0, 1.0, float("nan")], k=1)
 
 
 def test_assignment_ties_go_to_lower_index():

@@ -18,7 +18,6 @@ from prefetchlab.lstm import (
     save_checkpoint,
     sigmoid,
     softmax_cross_entropy,
-    softmax_probs,
     topk_indices,
     zero_states,
 )
@@ -73,6 +72,80 @@ def test_cell_forward_matches_scalar_oracle():
         h_ref, c_ref = scalar_cell_oracle(x, h_prev, c_prev, W, b)
         assert np.max(np.abs(h - h_ref)) < 1e-12
         assert np.max(np.abs(c - c_ref)) < 1e-12
+
+
+# Reference formulas of the split-sign implementation that the fused hot
+# path replaced. The fused code must reproduce them bit for bit, so that
+# checkpoints and reports recorded with the old code stay reproducible.
+
+
+def split_sign_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def split_sign_cell_forward(x, h_prev, c_prev, W, b):
+    H = h_prev.shape[1]
+    xh = np.concatenate([x, h_prev], axis=1)
+    z = xh @ W.T + b
+    i = split_sign_sigmoid(z[:, :H])
+    f = split_sign_sigmoid(z[:, H : 2 * H])
+    g = np.tanh(z[:, 2 * H : 3 * H])
+    o = split_sign_sigmoid(z[:, 3 * H :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (xh, i, f, g, o, c_prev, tc)
+
+
+def assert_bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_equal_to_split_sign(dtype):
+    rng = np.random.default_rng(11)
+    info = np.finfo(dtype)
+    special = np.array(
+        [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, info.max, -info.max,
+         info.smallest_subnormal, -info.smallest_subnormal,
+         info.smallest_normal / 4, -info.smallest_normal / 4,
+         info.smallest_normal, -info.smallest_normal, 1.0, -1.0],
+        dtype=dtype,
+    )
+    for x in (
+        special,
+        (rng.normal(size=1001) * 4).astype(dtype),
+        (rng.normal(size=(7, 33)) * 40).astype(dtype),
+        rng.uniform(-1e-30, 1e-30, size=257).astype(dtype),
+    ):
+        assert_bit_equal(sigmoid(x), split_sign_sigmoid(x))
+    # strided gate slices, as the split-sign cell passed them
+    z = (rng.normal(size=(5, 4 * 13)) * 3).astype(dtype)
+    assert_bit_equal(sigmoid(z)[:, 13:26], split_sign_sigmoid(z[:, 13:26]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,D,H", [(1, 256, 128), (3, 4, 64), (64, 128, 128), (2, 5, 7)])
+def test_cell_forward_bit_equal_to_split_sign(dtype, B, D, H):
+    rng = np.random.default_rng(B * 1000 + H)
+    W, b = lstm_layer_init(D, H, rng, dtype)
+    x = (rng.normal(size=(B, D)) * 2).astype(dtype)
+    h_prev = rng.uniform(-1, 1, size=(B, H)).astype(dtype)
+    c_prev = (rng.normal(size=(B, H)) * 3).astype(dtype)
+    h, c, cache = lstm_cell_forward(x, h_prev, c_prev, W, b)
+    h_ref, c_ref, cache_ref = split_sign_cell_forward(x, h_prev, c_prev, W, b)
+    assert_bit_equal(h, h_ref)
+    assert_bit_equal(c, c_ref)
+    assert len(cache) == len(cache_ref)
+    for got, ref in zip(cache, cache_ref):
+        assert_bit_equal(got, ref)
 
 
 def test_sigmoid_stable_at_extremes():
@@ -202,11 +275,50 @@ def test_softmax_cross_entropy_gradient_fd():
     assert relative_grad_error(dlogits, numeric["logits"]) < 1e-8
 
 
-def test_softmax_probs_huge_logits_stable():
-    probs = softmax_probs(np.array([[1000.0, 1000.0, -1000.0]]))
-    assert np.all(np.isfinite(probs))
-    assert probs[0, 0] == pytest.approx(0.5)
-    assert probs.sum() == pytest.approx(1.0)
+def test_softmax_cross_entropy_huge_logits_stable():
+    loss, dlogits, _ = softmax_cross_entropy(np.array([[1000.0, 1000.0, -1000.0]]), np.array([0]))
+    assert np.all(np.isfinite(dlogits))
+    assert loss == pytest.approx(math.log(2.0))
+    # dlogits = softmax - onehot
+    assert dlogits[0] == pytest.approx([-0.5, 0.5, 0.0])
+
+
+def two_pass_softmax_cross_entropy(logits, labels):
+    """The former implementation: softmax and log-sum-exp exp'd separately."""
+    labels = np.asarray(labels)
+    valid = labels >= 0
+    n_valid = int(valid.sum())
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    dlogits = (e / e.sum(axis=-1, keepdims=True)).copy()
+    if n_valid == 0:
+        return 0.0, np.zeros_like(logits), 0
+    idx = np.nonzero(valid)[0]
+    lab = labels[idx]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=-1))
+    loss = float(np.sum(logsumexp[idx] - z[idx, lab]) / n_valid)
+    dlogits[idx, lab] -= 1.0
+    dlogits[~valid] = 0.0
+    dlogits /= n_valid
+    return loss, dlogits, n_valid
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_cross_entropy_bit_equal_to_two_pass(dtype):
+    rng = np.random.default_rng(12)
+    for n, v in ((1, 2), (64 * 64, 1001), (3 * 64, 17), (37, 513)):
+        logits = (rng.normal(size=(n, v)) * 5).astype(dtype)
+        labels = rng.integers(-1, v, size=n)
+        # masked classes, as the cluster head adds them
+        logits[: n // 2, v // 2 :] += dtype(-1e30)
+        cases = [labels, np.full(n, -1), np.where(labels < 0, 0, labels)]
+        for lab in cases:
+            loss, dl, nv = softmax_cross_entropy(logits, lab)
+            loss_ref, dl_ref, nv_ref = two_pass_softmax_cross_entropy(logits, lab)
+            assert (loss, nv) == (loss_ref, nv_ref)
+            assert type(loss) is type(loss_ref)
+            assert_bit_equal(dl, dl_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +338,39 @@ def test_topk_ties_break_to_lower_id():
 
 def test_topk_k_larger_than_classes():
     assert topk_indices(np.array([0.3, 0.1]), 10).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_topk_equals_stable_argsort(dtype):
+    rng = np.random.default_rng(13)
+
+    def check(scores, k):
+        ref = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+        got = topk_indices(scores, k)
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    n = 1000
+    rows = (rng.normal(size=(64, n)) * 3).astype(dtype)
+    rows[1] = 0.5  # all tied
+    rows[2, 300:] = dtype(-1e30)  # masked tail; survivors fit before it
+    rows[3, 5:] = dtype(-1e30)  # masked: k-th score ties outside the survivors
+    rows[4, [3, 70, 500]] = np.nan
+    rows[5] = np.nan
+    rows[6] = rng.integers(0, 4, size=n)  # heavy ties across the k boundary
+    rows[7, ::2] = -0.0
+    rows[7, 1::2] = 0.0
+    rows[8, :] = -np.inf
+    rows[8, 17] = np.inf
+    rows[9, 990:] = rows[9].max()  # ties at the top, high ids
+    for k in (1, 2, 10, 999, 1000, 1001):
+        check(rows, k)
+        check(rows[:, :300], k)  # non-contiguous rows
+    for r in range(10):
+        check(rows[r], 10)  # 1-D input
+    check(rows.reshape(8, 8, n), 10)  # leading dims are kept
+    check(rows[:0], 10)  # no rows
 
 
 def test_topk_batched():

@@ -270,6 +270,22 @@ def test_train_model_learns_constant_successor():
     assert history[-1]["loss"] < history[0]["loss"] / 10
 
 
+def test_train_model_stops_on_non_finite_loss():
+    n = 256
+    din = np.tile(np.array([0, 1], dtype=np.int64), n // 2)
+    model = EmbeddingPrefetcher(
+        n_delta_inputs=2, n_pcs=1, n_outputs=2, hidden=8, embed=4, layers=1, seed=0
+    )
+    model.params["head_b"][1] = np.nan
+    before = {name: p.copy() for name, p in model.params.items()}
+    batches = batchify({"pc": np.zeros(n, dtype=np.int64), "delta_in": din,
+                        "label": np.roll(din, -1)}, 8)
+    with pytest.raises(DataError, match="at step 1"):
+        train_model(model, batches, TrainConfig(steps=5, window=16))
+    for name, p in model.params.items():
+        assert np.array_equal(p, before[name], equal_nan=True), name
+
+
 def test_train_model_callback_stops_early():
     n = 512
     din = np.zeros(n, dtype=np.int64)
