@@ -9,8 +9,10 @@ All deltas are in line units.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 
+from .errors import ConfigError
 from .eval import PredictionSet
 from .trace import signed_delta
 
@@ -60,6 +62,73 @@ class StreamPrefetcher:
         return ()
 
 
+class _PcHistory:
+    """One PC's miss lines in arrival order, with the delta pairs among them.
+
+    `lines[start:]` are the misses still inside the global history buffer;
+    `seqs` holds their global miss numbers. `pairs` maps each delta pair
+    (lines[p+1] - lines[p], lines[p+2] - lines[p+1]) to its last two
+    positions p, most recent last.
+    """
+
+    __slots__ = ("lines", "seqs", "start", "pairs")
+
+    def __init__(self, seq: int, line: int):
+        self.lines = [line]
+        self.seqs = [seq]
+        self.start = 0
+        self.pairs: dict[tuple[int, int], tuple[int | None, int]] = {}
+
+    def expire(self, oldest_seq: int, keep: int) -> None:
+        """Drop misses older than `oldest_seq`; compact once more than
+        `keep` of them pile up, so a history never outgrows 2*keep + 1."""
+        self.start = bisect_left(self.seqs, oldest_seq, self.start)
+        if self.start > keep:
+            del self.lines[: self.start]
+            del self.seqs[: self.start]
+            self.start = 0
+            self.pairs = {}
+            lines = self.lines
+            for p in range(len(lines) - 2):
+                self._add_pair(p, lines[p + 1] - lines[p], lines[p + 2] - lines[p + 1])
+
+    def _add_pair(self, p: int, d0: int, d1: int) -> None:
+        last = self.pairs.get((d0, d1))
+        self.pairs[d0, d1] = (None if last is None else last[1], p)
+
+    def append(self, seq: int, line: int) -> None:
+        lines = self.lines
+        lines.append(line)
+        self.seqs.append(seq)
+        n = len(lines)
+        if n >= 3:
+            self._add_pair(n - 3, lines[n - 2] - lines[n - 3], line - lines[n - 2])
+
+    def replay(self, line: int, degree: int) -> tuple[int, ...]:
+        """Offsets that followed the most recent earlier occurrence of the
+        delta pair that `line` completes, as cumulative sums of its
+        successors, at most `degree` of them."""
+        lines = self.lines
+        n = len(lines)
+        if n - self.start < 2:
+            return ()
+        last = lines[-1]
+        found = self.pairs.get((last - lines[-2], line - last))
+        if found is None:
+            return ()
+        p = found[1]
+        # the pair ending at the newest stored delta is the current pair's
+        # predecessor, not an earlier occurrence of it
+        if p > n - 4:
+            p = found[0]
+            if p is None:
+                return ()
+        if p < self.start:
+            return ()
+        base = lines[p + 2]
+        return tuple(x - base for x in lines[p + 3 : min(n, p + 3 + degree)])
+
+
 class GhbPcDc:
     """Global history buffer prefetcher with PC-localized delta correlation.
 
@@ -69,70 +138,56 @@ class GhbPcDc:
     looked up in that PC's delta history (most recent earlier occurrence
     wins) and up to `degree` following deltas are replayed as cumulative
     offsets. Prediction happens before the miss is inserted.
+
+    Instead of walking each PC's chain through the buffer on every miss,
+    the index keeps every PC's history incrementally (a `_PcHistory`):
+    misses more than `buffer_size` misses old count as overwritten, and a
+    PC evicted from the index loses its history, exactly as its chain
+    would. Predictions equal the chain walk's.
     """
 
     def __init__(self, index_size: int = 256, buffer_size: int = 256, degree: int = 10):
+        if degree < 1:
+            raise ConfigError(f"GHB degree must be >= 1, got {degree}")
         self.index_size = index_size
         self.buffer_size = buffer_size
         self.degree = degree
-        self._buf: list[tuple[int, int, int]] = [(-1, 0, -1)] * buffer_size  # seq, line, prev_seq
-        self._index: OrderedDict[int, int] = OrderedDict()  # pc -> seq
+        self._index: OrderedDict[int, _PcHistory] = OrderedDict()
         self._seq = 0
 
     def _chain_lines(self, pc: int) -> list[int]:
         """This PC's miss lines still in the buffer, most recent first."""
-        lines = []
-        seq = self._index.get(pc, -1)
-        while seq >= 0:
-            entry = self._buf[seq % self.buffer_size]
-            if entry[0] != seq:  # overwritten
-                break
-            lines.append(entry[1])
-            seq = entry[2]
-        return lines
+        hist = self._index.get(pc)
+        if hist is None:
+            return []
+        first = bisect_left(hist.seqs, self._seq - self.buffer_size, hist.start)
+        return hist.lines[first:][::-1]
 
     def observe(self, pc: int, line: int) -> tuple[int, ...]:
-        preds = self._predict(pc, line)
-        self._insert(pc, line)
+        seq = self._seq
+        self._seq = seq + 1
+        hist = self._index.get(pc)
+        if hist is None:
+            if len(self._index) >= self.index_size:
+                self._index.popitem(last=False)
+            self._index[pc] = _PcHistory(seq, line)
+            return ()
+        self._index.move_to_end(pc)
+        hist.expire(seq - self.buffer_size, self.buffer_size)
+        preds = hist.replay(line, self.degree)
+        hist.append(seq, line)
         return preds
 
-    def _predict(self, pc: int, line: int) -> tuple[int, ...]:
-        hist = self._chain_lines(pc)
-        if len(hist) < 2:
-            return ()
-        d_cur = line - hist[0]
-        d_prev = hist[0] - hist[1]
-        # deltas[i] leads into hist[i]; chronological order is reversed
-        deltas = [hist[i] - hist[i + 1] for i in range(len(hist) - 1)]
-        for j in range(1, len(deltas)):
-            if deltas[j] == d_cur and j + 1 < len(deltas) and deltas[j + 1] == d_prev:
-                out = []
-                total = 0
-                for i in range(j - 1, -1, -1):
-                    total += deltas[i]
-                    out.append(total)
-                    if len(out) >= self.degree:
-                        break
-                return tuple(out)
-        return ()
 
-    def _insert(self, pc: int, line: int) -> None:
-        prev = self._index.get(pc, -1)
-        self._buf[self._seq % self.buffer_size] = (self._seq, line, prev)
-        if pc in self._index:
-            self._index.move_to_end(pc)
-        elif len(self._index) >= self.index_size:
-            self._index.popitem(last=False)
-        self._index[pc] = self._seq
-        self._seq += 1
-
-
-def baseline_prediction_sets(prefetcher, misses) -> list[PredictionSet]:
-    """Run a prefetcher over a miss stream; one PredictionSet per transition."""
+def baseline_prediction_sets(prefetcher, misses, start: int = 0) -> list[PredictionSet]:
+    """Run a prefetcher over a miss stream; one PredictionSet per transition
+    t -> t+1 with t + 1 >= `start`. Every miss still updates the
+    prefetcher's state."""
     out = []
+    observe = prefetcher.observe
     for t, m in enumerate(misses):
-        preds = prefetcher.observe(m.pc, m.line_addr)
-        if t + 1 < len(misses):
+        preds = observe(m.pc, m.line_addr)
+        if start <= t + 1 < len(misses):
             true = signed_delta(m.line_addr, misses[t + 1].line_addr)
             out.append(PredictionSet(timestep=m.timestep, predicted=preds[:10], true_delta=true))
     return out

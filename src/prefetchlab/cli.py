@@ -71,9 +71,13 @@ DEFAULTS = {
 }
 
 
+# libyaml's parser when PyYAML was built with it; both build the same dicts
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path, seed: int | None = None) -> dict:
     with open(path) as f:
-        cfg = yaml.safe_load(f) or {}
+        cfg = yaml.load(f, Loader=YAML_LOADER) or {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     merged = {}
@@ -119,13 +123,8 @@ def hierarchy_from_config(cfg: dict) -> HierarchyConfig:
     return HierarchyConfig(levels=levels, miss_emit_level=section.get("miss_emit_level", -1))
 
 
-def _artifact(out_dir: str, name: str) -> str:
-    path = os.path.join(out_dir, name)
-    return path
-
-
 def _require(out_dir: str, name: str) -> str:
-    path = _artifact(out_dir, name)
+    path = os.path.join(out_dir, name)
     if not os.path.exists(path):
         raise DataError(f"missing artifact {path}; run the earlier pipeline stages first")
     return path
@@ -143,10 +142,10 @@ def _n_train(misses, cfg) -> int:
 def run_simulate(cfg: dict, out_dir: str) -> dict:
     spec = trace_spec_from_config(cfg)
     records = trace.generate_synthetic(spec)
-    trace.write_trace(records, _artifact(out_dir, TRACE_FILE))
+    trace.write_trace(records, os.path.join(out_dir, TRACE_FILE))
     hierarchy = hierarchy_from_config(cfg)
     misses, stats = simulate(records, hierarchy)
-    trace.write_miss_trace(misses, _artifact(out_dir, MISSES_FILE))
+    trace.write_miss_trace(misses, os.path.join(out_dir, MISSES_FILE))
     payload = {
         "n_accesses": len(records),
         "n_misses": len(misses),
@@ -154,7 +153,7 @@ def run_simulate(cfg: dict, out_dir: str) -> dict:
             {"accesses": s.accesses, "hits": s.hits, "misses": s.misses} for s in stats.levels
         ],
     }
-    evaluation.write_report(_artifact(out_dir, SIM_STATS_FILE), payload)
+    evaluation.write_report(os.path.join(out_dir, SIM_STATS_FILE), payload)
     return payload
 
 
@@ -172,7 +171,7 @@ def run_vocab(cfg: dict, out_dir: str) -> dict:
         max_output=cfg["vocab"]["max_output"],
         min_input_count=cfg["vocab"]["min_input_count"],
     )
-    vocab_mod.save_vocab(v, _artifact(out_dir, VOCAB_FILE))
+    vocab_mod.save_vocab(v, os.path.join(out_dir, VOCAB_FILE))
     return {"n_input": v.n_input, "n_output": v.n_output, "coverage": v.output_coverage()}
 
 
@@ -186,7 +185,7 @@ def run_cluster(cfg: dict, out_dir: str) -> dict:
         seed=cfg["seed"],
     )
     stream = clustering.partition_stream(misses, model, train_len=n_train)
-    clustering.save_cluster_model(model, _artifact(out_dir, CLUSTER_FILE), stream.norm_params)
+    clustering.save_cluster_model(model, os.path.join(out_dir, CLUSTER_FILE), stream.norm_params)
     return {"k": model.k, "inertia": model.inertia, "n_iters": model.n_iters}
 
 
@@ -251,7 +250,7 @@ def run_train(cfg: dict, out_dir: str) -> dict:
 
     history = models.train_model(model, batches, tcfg)
     meta = {"config_hash": evaluation.config_hash(evaluation.sanitize(cfg)), "n_train": n_train}
-    models.save_model(model, _artifact(out_dir, MODEL_FILE), meta)
+    models.save_model(model, os.path.join(out_dir, MODEL_FILE), meta)
     final = history[-1]["loss"] if history else None
     return {"steps": len(history), "final_loss": final}
 
@@ -287,11 +286,10 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
             ("stream", baselines.StreamPrefetcher()),
             ("ghb_pc_dc", baselines.GhbPcDc()),
         ):
-            all_sets = baselines.baseline_prediction_sets(pf, misses)
-            test_sets = [s for s in all_sets if s.timestep + 1 >= n_train]
+            test_sets = baselines.baseline_prediction_sets(pf, misses, start=n_train)
             metrics[name] = evaluation.metrics_summary(test_sets, k)
     payload = {"n_train": n_train, "n_misses": len(misses), "metrics": metrics}
-    evaluation.write_report(_artifact(out_dir, METRICS_FILE), payload)
+    evaluation.write_report(os.path.join(out_dir, METRICS_FILE), payload)
     return payload
 
 
@@ -310,7 +308,7 @@ def run_report(cfg: dict, out_dir: str) -> dict:
         "evaluation": metrics,
         "geomean_precision": evaluation.geometric_mean(precisions),
     }
-    evaluation.write_report(_artifact(out_dir, REPORT_FILE), payload)
+    evaluation.write_report(os.path.join(out_dir, REPORT_FILE), payload)
     return payload
 
 
@@ -320,7 +318,7 @@ def run_export_embeddings(cfg: dict, out_dir: str) -> dict:
         raise DataError("checkpoint has no delta embedding table to export")
     v = vocab_mod.load_vocab(_require(out_dir, VOCAB_FILE))
     table = model.params["emb_delta"]
-    path = _artifact(out_dir, "embeddings.csv")
+    path = os.path.join(out_dir, "embeddings.csv")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["input_class_id", "delta"] + [f"dim{i}" for i in range(table.shape[1])])

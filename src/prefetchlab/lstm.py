@@ -25,8 +25,14 @@ from .errors import TraceFormatError, read_exact
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument cannot overflow; per sign this is
     # 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)), the split-sign formulas
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1, e) / (1 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1
+    out = np.minimum(x, 0)
+    np.exp(out, out=out)
+    out /= e
+    return out
 
 
 def uniform_init(shape, scale: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
@@ -44,21 +50,29 @@ def lstm_layer_init(
     return W, b
 
 
-def lstm_cell_forward(x, h_prev, c_prev, W, b):
-    """One step of one layer on a (B, D) batch. Returns (h, c, cache)."""
-    H = h_prev.shape[1]
-    xh = np.concatenate([x, h_prev], axis=1)
-    z = xh @ W.T + b
+def _cell_step(xh, c_prev, W, b, h=None):
+    """Gate math of one step from the joined (B, D+H) rows [x | h_prev].
+
+    Writes h into `h` when given. Returns (h, c, cache).
+    """
+    H = c_prev.shape[1]
+    z = xh @ W.T
+    z += b
     # one sigmoid pass over all four gates, then tanh over the g slice;
     # i, f, g, o are views of the one activation array
     a = sigmoid(z)
     np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
     i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
-    c = f * c_prev + i * g
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
-    h = o * tc
-    cache = (xh, i, f, g, o, c_prev, tc)
-    return h, c, cache
+    h = np.multiply(o, tc, out=h)
+    return h, c, (xh, i, f, g, o, c_prev, tc)
+
+
+def lstm_cell_forward(x, h_prev, c_prev, W, b):
+    """One step of one layer on a (B, D) batch. Returns (h, c, cache)."""
+    return _cell_step(np.concatenate([x, h_prev], axis=1), c_prev, W, b)
 
 
 def lstm_cell_backward(dh, dc_in, cache, W):
@@ -101,20 +115,35 @@ def lstm_forward(X, states, Ws, bs):
 
     `states` is a list of (h, c) per layer and is not mutated. Returns the
     top-layer outputs (T, B, H), the final states, and caches for backward.
+
+    Each layer works in one (T+1, B, D+H) buffer whose row t is the step's
+    [x_t | h_{t-1}] input: a step writes its h into the recurrent slot of
+    row t+1 and copies it into row t of the next layer's input slot. The
+    outputs and the cached inputs are views of these buffers; the final h
+    is a copy, so that carried state does not keep a finished window's
+    buffers alive.
     """
-    T = X.shape[0]
+    T, B, _ = X.shape
     n_layers = len(Ws)
-    h = [s[0] for s in states]
+    xhs, dims = [], []
+    for l in range(n_layers):
+        H = Ws[l].shape[0] // 4
+        D = Ws[l].shape[1] - H
+        xh = np.empty((T + 1, B, D + H), dtype=X.dtype)
+        xh[0, :, D:] = states[l][0]
+        xhs.append(xh)
+        dims.append(D)
+    xhs[0][:T, :, : dims[0]] = X
     c = [s[1] for s in states]
     caches = [[None] * n_layers for _ in range(T)]
-    H_top = np.empty((T, X.shape[1], h[-1].shape[1]), dtype=X.dtype)
     for t in range(T):
-        inp = X[t]
         for l in range(n_layers):
-            h[l], c[l], caches[t][l] = lstm_cell_forward(inp, h[l], c[l], Ws[l], bs[l])
-            inp = h[l]
-        H_top[t] = h[-1]
-    return H_top, [(h[l], c[l]) for l in range(n_layers)], caches
+            xh, D = xhs[l], dims[l]
+            h, c[l], caches[t][l] = _cell_step(xh[t], c[l], Ws[l], bs[l], xh[t + 1, :, D:])
+            if l + 1 < n_layers:
+                xhs[l + 1][t, :, : dims[l + 1]] = h
+    finals = [(xhs[l][T, :, dims[l] :].copy(), c[l]) for l in range(n_layers)]
+    return xhs[-1][1:, :, dims[-1] :], finals, caches
 
 
 def lstm_backward(dH_top, caches, Ws):
@@ -299,6 +328,12 @@ def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 CKPT_MAGIC = b"PFCKPT01"
 CKPT_VERSION = 1
+# the dtype strings a checkpoint may store: little-endian floats and ints
+CKPT_DTYPES = {
+    dt.str.encode(): dt
+    for dt in map(np.dtype, ("<f2", "<f4", "<f8", "<i1", "<i2", "<i4", "<i8",
+                             "<u1", "<u2", "<u4", "<u8"))
+}
 
 
 def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
@@ -344,7 +379,13 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             (ndim,) = struct.unpack("<B", read_exact(f, 1, path))
             shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path)) if ndim else ()
             (dlen,) = struct.unpack("<H", read_exact(f, 2, path))
-            dtype = np.dtype(read_exact(f, dlen, path).decode())
+            offset = f.tell()
+            stored = read_exact(f, dlen, path)
+            dtype = CKPT_DTYPES.get(stored)
+            if dtype is None:
+                raise TraceFormatError(
+                    f"{path}: unsupported dtype {stored!r} at byte offset {offset}"
+                )
             n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
             arr = np.frombuffer(read_exact(f, n_bytes, path), dtype=dtype).reshape(shape).copy()
             arrays[name] = arr

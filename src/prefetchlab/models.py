@@ -140,7 +140,7 @@ class EmbeddingPrefetcher:
         logits, flat, new_states, caches = self._forward(pc_ids, delta_ids, states)
         loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
 
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        grads = {}
         grads["head_W"] = dlogits.T @ flat
         grads["head_b"] = dlogits.sum(axis=0)
         T, B = pc_ids.shape
@@ -154,15 +154,18 @@ class EmbeddingPrefetcher:
 
         off = 0
         if self.e_pc:
+            grads["emb_pc"] = np.zeros_like(self.params["emb_pc"])
             np.add.at(
                 grads["emb_pc"], pc_ids.reshape(-1), dX[..., : self.e_pc].reshape(-1, self.e_pc)
             )
             off = self.e_pc
         if self.e_delta:
+            grads["emb_delta"] = np.zeros_like(self.params["emb_delta"])
             np.add.at(
                 grads["emb_delta"], delta_ids.reshape(-1), dX[..., off:].reshape(-1, self.e_delta)
             )
-        return loss, grads, new_states
+        # in params order: clip_global_norm sums the squares in dict order
+        return loss, {name: grads[name] for name in self.params}, new_states
 
     def predict_topk(self, pc_ids, delta_ids, states, k: int = 10):
         """Top-k output class ids per position; the OOV class never appears."""
@@ -261,7 +264,7 @@ class ClusterPrefetcher:
         masked = logits + self.loss_mask[cluster_ids.reshape(-1)]
         loss, dlogits, _ = softmax_cross_entropy(masked, np.asarray(labels).reshape(-1))
 
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        grads = {}
         grads["head_W"] = dlogits.T @ flat
         grads["head_b"] = dlogits.sum(axis=0)
         T, B = cluster_ids.shape
@@ -271,7 +274,8 @@ class ClusterPrefetcher:
         for l in range(self.layers):
             grads[f"lstm{l}_W"] = dWs[l]
             grads[f"lstm{l}_b"] = dbs[l]
-        return loss, grads, new_states
+        # in params order: clip_global_norm sums the squares in dict order
+        return loss, {name: grads[name] for name in self.params}, new_states
 
     def predict_topk(self, norm_delta, cluster_ids, states, k: int = 10):
         """Top-k shared-head ids per position; masked-out slots come back -1."""
@@ -557,23 +561,21 @@ def embedding_prediction_sets(
     n = len(dataset["label"])
     states = model.zero_states(1)
     keep = dataset["target_index"] >= test_start
+    decode = delta_vocab.output_deltas().__getitem__
     out = []
     for lo in range(0, n, window):
         hi = min(lo + window, n)
         pc = dataset["pc"][lo:hi].reshape(-1, 1)
         din = dataset["delta_in"][lo:hi].reshape(-1, 1)
         ids, states = model.predict_topk(pc, din, states, k)
-        for j in range(lo, hi):
-            if not keep[j]:
-                continue
-            preds = tuple(delta_vocab.decode_output(int(i)) for i in ids[j - lo, 0])
-            out.append(
-                PredictionSet(
-                    timestep=int(dataset["timestep"][j]),
-                    predicted=preds,
-                    true_delta=int(dataset["delta_raw"][j]),
-                )
-            )
+        sel = np.nonzero(keep[lo:hi])[0]
+        for ts, row, true in zip(
+            dataset["timestep"][lo + sel].tolist(),
+            ids[sel, 0].tolist(),
+            dataset["delta_raw"][lo + sel].tolist(),
+        ):
+            out.append(PredictionSet(timestep=ts, predicted=tuple(map(decode, row)),
+                                     true_delta=true))
     return out
 
 
@@ -589,6 +591,10 @@ def cluster_prediction_sets(
 
     rows, cols = dataset["label"].shape
     states = model.zero_states(rows)
+    keep = (dataset["target_index"] >= test_start) & (
+        np.arange(cols) < dataset["length"][:, None]
+    )
+    decoders = [v.output_deltas().__getitem__ if v is not None else None for v in vocabs]
     out = []
     for lo in range(0, cols, window):
         hi = min(lo + window, cols)
@@ -596,21 +602,17 @@ def cluster_prediction_sets(
         cid = dataset["cluster_id"][:, lo:hi].T
         ids, states = model.predict_topk(nd, cid, states, k)
         for c in range(rows):
-            for t in range(lo, hi):
-                tgt = dataset["target_index"][c, t]
-                if tgt < test_start or t >= dataset["length"][c]:
-                    continue
-                preds = tuple(
-                    vocabs[c].decode_output(int(i))
-                    for i in ids[t - lo, c]
-                    if i >= 0 and vocabs[c] is not None
-                )
-                out.append(
-                    PredictionSet(
-                        timestep=int(dataset["timestep"][c, t]),
-                        predicted=preds,
-                        true_delta=int(dataset["delta_raw"][c, t]),
-                    )
-                )
+            sel = np.nonzero(keep[c, lo:hi])[0]
+            ids_c = ids[sel, c]
+            # topk orders the scores descending, so a row's masked slots
+            # (-1) come after all of its valid ids
+            for ts, row, n_valid, true in zip(
+                dataset["timestep"][c, lo + sel].tolist(),
+                ids_c.tolist(),
+                np.count_nonzero(ids_c >= 0, axis=-1).tolist(),
+                dataset["delta_raw"][c, lo + sel].tolist(),
+            ):
+                preds = tuple(map(decoders[c], row[:n_valid])) if n_valid else ()
+                out.append(PredictionSet(timestep=ts, predicted=preds, true_delta=true))
     out.sort(key=lambda s: s.timestep)
     return out

@@ -83,7 +83,6 @@ class DeltaVocab:
         self.output_classes = self.input_classes[:max_output]
         self._input_id = {d: i for d, i in self.input_classes}
         self._output_id = {d: i for d, i in self.output_classes}
-        self._output_delta = {i: d for d, i in self.output_classes}
 
     # Reserved IDs sit one past the dense class ranges.
     @property
@@ -112,10 +111,8 @@ class DeltaVocab:
         get = self._output_id.get
         return np.array([get(d, oov) for d in delta_values(deltas)], dtype=np.int64)
 
-    def decode_output(self, class_id: int) -> int:
-        return self._output_delta[class_id]
-
     def output_deltas(self) -> list[int]:
+        """Lookup list from output class ID to delta."""
         return [d for d, _ in self.output_classes]
 
     def output_coverage(self) -> float:

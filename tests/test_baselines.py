@@ -1,4 +1,10 @@
+import random
+from collections import OrderedDict
+
+import pytest
+
 from prefetchlab.baselines import GhbPcDc, StreamPrefetcher, baseline_prediction_sets
+from prefetchlab.errors import ConfigError
 from prefetchlab.trace import MissRecord
 
 
@@ -201,6 +207,110 @@ def test_ghb_cumulative_offsets():
             assert list(preds[: len(future)]) == future
 
 
+class ChainWalkGhb:
+    """The GHB before incremental histories: a circular buffer of
+    (seq, line, prev_seq) nodes, each PC's chain walked on every miss."""
+
+    def __init__(self, index_size=256, buffer_size=256, degree=10):
+        self.index_size = index_size
+        self.buffer_size = buffer_size
+        self.degree = degree
+        self._buf = [(-1, 0, -1)] * buffer_size
+        self._index = OrderedDict()
+        self._seq = 0
+
+    def _chain_lines(self, pc):
+        lines = []
+        seq = self._index.get(pc, -1)
+        while seq >= 0:
+            entry = self._buf[seq % self.buffer_size]
+            if entry[0] != seq:
+                break
+            lines.append(entry[1])
+            seq = entry[2]
+        return lines
+
+    def observe(self, pc, line):
+        hist = self._chain_lines(pc)
+        preds = ()
+        if len(hist) >= 2:
+            d_cur = line - hist[0]
+            d_prev = hist[0] - hist[1]
+            deltas = [hist[i] - hist[i + 1] for i in range(len(hist) - 1)]
+            for j in range(1, len(deltas)):
+                if deltas[j] == d_cur and j + 1 < len(deltas) and deltas[j + 1] == d_prev:
+                    out, total = [], 0
+                    for i in range(j - 1, -1, -1):
+                        total += deltas[i]
+                        out.append(total)
+                        if len(out) >= self.degree:
+                            break
+                    preds = tuple(out)
+                    break
+        prev = self._index.get(pc, -1)
+        self._buf[self._seq % self.buffer_size] = (self._seq, line, prev)
+        if pc in self._index:
+            self._index.move_to_end(pc)
+        elif len(self._index) >= self.index_size:
+            self._index.popitem(last=False)
+        self._index[pc] = self._seq
+        self._seq += 1
+        return preds
+
+
+def random_miss_stream(rng, n, n_pcs):
+    """Per-PC walks over a short repeating delta cycle with random breaks,
+    so delta pairs recur within and across buffer lifetimes."""
+    cycle = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+    lines = {}
+    for i in range(n):
+        pc = rng.randrange(n_pcs) if rng.random() < 0.7 else rng.randrange(min(n_pcs, 3))
+        line = lines.get(pc, rng.randrange(1 << 30))
+        d = cycle[i % len(cycle)] if rng.random() < 0.85 else rng.randint(-3, 3)
+        lines[pc] = line + d
+        yield pc, line
+
+
+def test_ghb_equals_chain_walk_on_random_streams():
+    rng = random.Random(17)
+    predicted = 0
+    for _ in range(60):
+        sizes = dict(index_size=rng.randint(2, 40), buffer_size=rng.randint(4, 64),
+                     degree=rng.randint(1, 12))
+        pf, ref = GhbPcDc(**sizes), ChainWalkGhb(**sizes)
+        n_pcs = rng.randint(1, 60)
+        for i, (pc, line) in enumerate(random_miss_stream(rng, 1500, n_pcs)):
+            preds = pf.observe(pc, line)
+            assert preds == ref.observe(pc, line), (sizes, i)
+            predicted += bool(preds)
+            if i % 50 == 0:
+                assert list(pf._index) == list(ref._index)
+                for q in range(n_pcs):
+                    assert pf._chain_lines(q) == ref._chain_lines(q)
+    assert predicted > 10_000  # the streams exercise the replay path
+
+
+def test_ghb_history_bounded_by_buffer_size():
+    pf = GhbPcDc(index_size=4, buffer_size=16)
+    rng = random.Random(5)
+    for i in range(10 * 16):
+        pf.observe(i % 3, rng.randrange(1000))
+        for hist in pf._index.values():
+            assert len(hist.lines) == len(hist.seqs) <= 2 * 16 + 1
+            assert len(hist.pairs) <= len(hist.lines)
+    # one PC alone: every miss of it stays in the buffer for 16 misses
+    pf = GhbPcDc(buffer_size=16)
+    for i in range(10 * 16):
+        pf.observe(7, (i * 3) % 11)
+        assert len(pf._index[7].lines) <= 2 * 16 + 1
+    assert len(pf._chain_lines(7)) == 16
+
+
+def test_ghb_rejects_degree_below_one():
+    with pytest.raises(ConfigError):
+        GhbPcDc(degree=0)
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -217,6 +327,17 @@ def test_baseline_prediction_sets_shapes():
     assert sets[0].predicted == ()
     assert sets[1].predicted == ()
     assert all(1 in s.predicted for s in sets[2:])
+
+
+def test_baseline_prediction_sets_from_start():
+    rng = random.Random(8)
+    misses = [MissRecord(t, pc, line * 64, line)
+              for t, (pc, line) in enumerate(random_miss_stream(rng, 400, 5))]
+    full = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses)
+    for start in (0, 1, 150, 399, 400):
+        sets = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses, start=start)
+        assert sets == full[max(start - 1, 0):]
+        assert all(s.timestep + 1 >= start for s in sets)
 
 
 def test_stream_precision_on_long_stride_run():

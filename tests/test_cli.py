@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+from prefetchlab import cli
 from prefetchlab.cli import load_config, main
 
 STRIDE_CFG = {
@@ -41,6 +42,23 @@ def test_load_config_merges_defaults(tmp_path):
     assert cfg["vocab"]["max_output"] == 50_000
     assert cfg["custom_key"] == 1
     assert load_config(path, seed=5)["seed"] == 5
+
+
+def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
+    table = [64 * (j + 1) for j in range(1000)]
+    path = write_cfg(tmp_path, {
+        "trace": {"kind": "pc_correlated", "length": 9000, "table": table,
+                  "shifts": [1, 117, 353, 612], "selection": "round_robin"},
+        "train": {"steps": 10, "lr": None, "clip": 2.5},
+        "eval": {"baselines": False},
+    })
+    loaded = {}
+    for loader in (getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        loaded[loader] = load_config(path)
+    first, second = loaded.values()
+    assert first == second
+    assert first["trace"]["table"] == table
 
 
 def test_embedding_pipeline_stages(tmp_path):
@@ -139,12 +157,16 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
         path = out / artifact
         data = path.read_bytes()
         offsets = sorted({o for o in (0, 10, 40, 200, len(data) // 2, len(data) - 1) if o < len(data)})
-        for offset in offsets:
-            path.write_bytes(data[:offset])
+        damaged = [(f"cut at {offset}", data[:offset]) for offset in offsets]
+        if artifact == "model.bin":
+            at = data.index(b"<f8")  # the first stored dtype, its kind garbled
+            damaged.append(("dtype <Z8", data[:at + 1] + b"Z" + data[at + 2:]))
+        for how, content in damaged:
+            path.write_bytes(content)
             capsys.readouterr()
-            assert run("eval", cfg_path, out) == 1, (artifact, offset)
+            assert run("eval", cfg_path, out) == 1, (artifact, how)
             lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, offset, lines)
+            assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, how, lines)
             assert artifact in lines[0]
         path.write_bytes(data)
 

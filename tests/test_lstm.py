@@ -148,6 +148,23 @@ def test_cell_forward_bit_equal_to_split_sign(dtype, B, D, H):
         assert_bit_equal(got, ref)
 
 
+def where_form_sigmoid(x):
+    """The one-pass sigmoid before its numerator became exp(minimum(x, 0))."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
+
+
+def test_sigmoid_bit_equal_to_where_form_on_float32_patterns():
+    bits = np.arange(0, 1 << 32, 97, dtype=np.uint64).astype(np.uint32)
+    edges = np.array([0, 1, 0x007FFFFF, 0x00800000, 0x7F7FFFFF, 0x7F800000, 0x7FC00000,
+                      0x7FFFFFFF], dtype=np.uint32)  # +-0, subnormals, max, inf, NaNs
+    bits = np.concatenate([bits, edges, edges | np.uint32(0x80000000)])
+    with np.errstate(invalid="ignore"):  # exp of NaN
+        for chunk in np.array_split(bits, 64):
+            x = chunk.view(np.float32)
+            assert_bit_equal(sigmoid(x), where_form_sigmoid(x))
+
+
 def test_sigmoid_stable_at_extremes():
     x = np.array([-800.0, -50.0, 0.0, 50.0, 800.0])
     s = sigmoid(x)
@@ -194,6 +211,67 @@ def test_forward_state_carry_equals_one_shot():
     for (h1, c1), (h2, c2) in zip(final_full, final_split):
         assert np.allclose(h1, h2, atol=1e-14)
         assert np.allclose(c1, c2, atol=1e-14)
+
+
+def concatenating_lstm_forward(X, states, Ws, bs):
+    """The window forward before the [x | h] buffers: it joins x and h
+    with a fresh concatenate in every cell and copies each top-layer h."""
+    T = X.shape[0]
+    n_layers = len(Ws)
+    h = [s[0] for s in states]
+    c = [s[1] for s in states]
+    caches = [[None] * n_layers for _ in range(T)]
+    H_top = np.empty((T, X.shape[1], h[-1].shape[1]), dtype=X.dtype)
+    for t in range(T):
+        inp = X[t]
+        for l in range(n_layers):
+            H = h[l].shape[1]
+            xh = np.concatenate([inp, h[l]], axis=1)
+            z = xh @ Ws[l].T + bs[l]
+            a = where_form_sigmoid(z)
+            np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+            i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+            c_prev = c[l]
+            c[l] = f * c_prev + i * g
+            tc = np.tanh(c[l])
+            h[l] = o * tc
+            caches[t][l] = (xh, i, f, g, o, c_prev, tc)
+            inp = h[l]
+        H_top[t] = h[-1]
+    return H_top, [(h[l], c[l]) for l in range(n_layers)], caches
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,D,H,T", [(1, 256, 128, 9), (3, 4, 64, 12), (64, 128, 128, 5)])
+def test_forward_bit_equal_to_concatenating_forward(dtype, B, D, H, T):
+    rng = np.random.default_rng(B * 100 + D)
+    Ws, bs = [], []
+    for dim in (D, H):
+        W, b = lstm_layer_init(dim, H, rng, dtype)
+        Ws.append(W)
+        bs.append((rng.normal(size=4 * H) * 0.5).astype(dtype))
+    X = (rng.normal(size=(T, B, D)) * 2).astype(dtype)
+    states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
+               (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
+    saved = [(h.copy(), c.copy()) for h, c in states]
+    out, finals, caches = lstm_forward(X, states, Ws, bs)
+    out_ref, finals_ref, caches_ref = concatenating_lstm_forward(X, states, Ws, bs)
+    assert_bit_equal(out, out_ref)
+    for got, ref in zip(finals + saved, finals_ref + states):  # inputs not mutated
+        assert_bit_equal(got[0], ref[0])
+        assert_bit_equal(got[1], ref[1])
+    # carried state must not keep the window's buffers alive
+    assert all(h.base is None and c.base is None for h, c in finals)
+    for step, step_ref in zip(caches, caches_ref):
+        for cache, cache_ref in zip(step, step_ref):
+            assert len(cache) == len(cache_ref)
+            for got, ref in zip(cache, cache_ref):
+                assert_bit_equal(got, ref)
+    dH = rng.normal(size=(T, B, H)).astype(dtype)
+    dX, dWs, dbs = lstm_backward(dH, caches, Ws)
+    dX_ref, dWs_ref, dbs_ref = lstm_backward(dH, caches_ref, Ws)
+    for got, ref in zip([dX, *dWs, *dbs], [dX_ref, *dWs_ref, *dbs_ref]):
+        assert_bit_equal(got, ref)
 
 
 def test_backward_matches_finite_differences():

@@ -98,6 +98,24 @@ def test_cluster_model_gradcheck():
         assert relative_grad_error(analytic[name], numeric[name]) < 1e-7, name
 
 
+def test_grads_come_in_params_order():
+    # clip_global_norm sums squares in dict order, so the order is part of
+    # the bit-exact training contract
+    rng = np.random.default_rng(6)
+    T, B = 3, 2
+    labels = rng.integers(0, 3, size=(T, B))
+    for modality in ("both", "delta_only", "pc_only"):
+        model = tiny_embedding_model(modality=modality)
+        pc = rng.integers(0, 4, size=(T, B))
+        din = rng.integers(0, 7, size=(T, B))
+        _, grads, _ = model.loss_and_grads(pc, din, labels, model.zero_states(B))
+        assert list(grads) == list(model.params)
+    model = ClusterPrefetcher(vocab_sizes=[3, 5], hidden=6, layers=2, seed=5)
+    cid = np.tile(np.array([[0, 1]]), (T, 1))
+    _, grads, _ = model.loss_and_grads(rng.normal(size=(T, B)), cid, labels, model.zero_states(B))
+    assert list(grads) == list(model.params)
+
+
 # ---------------------------------------------------------------------------
 # Model shapes and behavior
 # ---------------------------------------------------------------------------
@@ -377,6 +395,63 @@ def test_cluster_prediction_sets_respect_test_start_and_vocab():
     late = cluster_prediction_sets(model, ds, vocabs, test_start=7, k=10)
     assert 0 < len(late) < len(sets)
     assert sorted(s.timestep for s in late) == [s.timestep for s in late]
+
+
+def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
+    """The decoding before lookup arrays: every event and id one at a time
+    through a class-id -> delta dict, `vocabs` holding one vocab per row."""
+    from prefetchlab.eval import PredictionSet
+
+    decode = [None if v is None else {i: d for d, i in v.output_classes} for v in vocabs]
+    if isinstance(model, ClusterPrefetcher):
+        ds, length = dataset, dataset["length"]
+    else:  # one row holding the whole stream
+        ds = {key: a.reshape(1, -1) for key, a in dataset.items()}
+        length = [len(dataset["label"])]
+    rows, cols = ds["label"].shape
+    states = model.zero_states(rows)
+    out = []
+    for lo in range(0, cols, window):
+        hi = min(lo + window, cols)
+        inputs = [ds[key][:, lo:hi].T for key in model.input_keys]
+        ids, states = model.predict_topk(*inputs, states, k)
+        for c in range(rows):
+            for t in range(lo, hi):
+                if ds["target_index"][c, t] < test_start or t >= length[c]:
+                    continue
+                preds = tuple(decode[c][int(i)] for i in ids[t - lo, c]
+                              if i >= 0 and decode[c] is not None)
+                out.append(PredictionSet(int(ds["timestep"][c, t]), preds,
+                                         int(ds["delta_raw"][c, t])))
+    out.sort(key=lambda s: s.timestep)
+    return out
+
+
+def test_prediction_sets_equal_per_event_decoding():
+    rng = np.random.default_rng(21)
+    lines = np.cumsum(rng.choice([1, 2, 5, -3, 40], size=300)) + 10_000
+    # cluster 2 gets a single training miss and so no vocabulary
+    assignments = np.array([0, 1] * 140 + [2] + [0, 1] * 9 + [2])
+    misses = misses_from_lines(lines.tolist(), pcs=[int(p) for p in rng.integers(0, 4, 300)])
+    vocabs = build_cluster_vocabs(misses, assignments, train_len=281, min_input_count=1)
+    assert vocabs[2] is None
+    model = ClusterPrefetcher(
+        vocab_sizes=[v.n_output if v else 0 for v in vocabs], hidden=6, layers=2, seed=4
+    )
+    norms = np.array([[0.0, 4.0], [0.0, 4.0], [0.0, 1.0]])
+    ds = cluster_dataset(misses, assignments, vocabs, norms, model)
+    for test_start, k, window in ((210, 10, 512), (0, 3, 7), (250, 2, 1)):
+        got = cluster_prediction_sets(model, ds, vocabs, test_start, k, window)
+        assert got == per_event_prediction_sets(model, ds, vocabs, test_start, k, window)
+
+    vocab = build_vocab(compute_deltas(misses[:210]), max_output=3, min_input_count=2)
+    pc_vocab = build_pc_vocab(misses[:210])
+    model = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output,
+                                hidden=6, embed=3, layers=2, seed=5)
+    ds = embedding_dataset(misses, vocab, pc_vocab)
+    for test_start, k, window in ((210, 10, 512), (0, 2, 7)):
+        got = embedding_prediction_sets(model, ds, vocab, test_start, k, window)
+        assert got == per_event_prediction_sets(model, ds, [vocab], test_start, k, window)
 
 
 # ---------------------------------------------------------------------------
