@@ -64,8 +64,6 @@ DEFAULTS = {
         "optimizer": "adam",
         "lr": None,
         "clip": 5.0,
-        "eval_every": 0,
-        "target_precision": None,
     },
     "eval": {"k": 10, "split": 0.7, "baselines": True},
 }
@@ -76,16 +74,28 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path, seed: int | None = None) -> dict:
+    """Config file merged over DEFAULTS.
+
+    Keys inside a DEFAULTS section must be known; unknown top-level keys
+    pass through. Raises ConfigError naming the file (and key) otherwise.
+    """
     with open(path) as f:
-        cfg = yaml.load(f, Loader=YAML_LOADER) or {}
+        try:
+            cfg = yaml.load(f, Loader=YAML_LOADER) or {}
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{path}: invalid YAML: {' '.join(str(e).split())}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     merged = {}
     for key, defaults in DEFAULTS.items():
         if isinstance(defaults, dict):
-            section = dict(defaults)
-            section.update(cfg.get(key) or {})
-            merged[key] = section
+            given = {} if cfg.get(key) is None else cfg[key]
+            if not isinstance(given, dict):
+                raise ConfigError(f"{path}: {key} must be a mapping, got {given!r}")
+            unknown = sorted(set(given) - set(defaults), key=str)
+            if unknown:
+                raise ConfigError(f"{path}: unknown key {key}.{unknown[0]}")
+            merged[key] = {**defaults, **given}
         else:
             merged[key] = cfg.get(key, defaults)
     for key in cfg:
@@ -189,64 +199,63 @@ def run_cluster(cfg: dict, out_dir: str) -> dict:
     return {"k": model.k, "inertia": model.inertia, "n_iters": model.n_iters}
 
 
-def run_train(cfg: dict, out_dir: str) -> dict:
-    misses = _load_misses(cfg, out_dir)
-    n_train = _n_train(misses, cfg)
-    mcfg = cfg["model"]
-    tcfg = models.TrainConfig(
-        steps=cfg["train"]["steps"],
-        window=cfg["train"]["window"],
-        optimizer=cfg["train"]["optimizer"],
-        lr=cfg["train"]["lr"],
-        clip=cfg["train"]["clip"],
-        eval_every=cfg["train"]["eval_every"],
-    )
-    dtype = np.dtype(mcfg["dtype"])
+def prepare(cfg: dict, out_dir: str, misses, n_train: int):
+    """(fresh model, full-stream dataset, output vocabularies) for `cfg`.
 
+    The one place the model and its dataset are built, from the config
+    and the vocab/cluster artifacts: train fits this model, and eval and
+    export load the trained weights into it.
+    """
+    mcfg = cfg["model"]
+    dtype = np.dtype(mcfg["dtype"])
     if mcfg["type"] == "embedding":
         v = vocab_mod.load_vocab(_require(out_dir, VOCAB_FILE))
         pc_vocab = vocab_mod.build_pc_vocab(misses[:n_train])
         model = models.EmbeddingPrefetcher(
-            n_delta_inputs=v.n_input,
-            n_pcs=pc_vocab.n_pcs,
-            n_outputs=v.n_output,
-            hidden=mcfg["hidden"],
-            embed=mcfg["embed"],
-            layers=mcfg["layers"],
-            modality=mcfg["modality"],
-            dtype=dtype,
-            seed=cfg["seed"],
+            v.n_input, pc_vocab.n_pcs, v.n_output, hidden=mcfg["hidden"], embed=mcfg["embed"],
+            layers=mcfg["layers"], modality=mcfg["modality"], dtype=dtype, seed=cfg["seed"],
         )
-        dataset = models.embedding_dataset(misses, v, pc_vocab)
-        train_mask = dataset["target_index"] < n_train
-        train_arrays = {key: arr[train_mask] for key, arr in dataset.items()}
-        batches = models.batchify(train_arrays, cfg["train"]["batch"])
-    elif mcfg["type"] == "cluster":
+        return model, models.embedding_dataset(misses, v, pc_vocab), v
+    if mcfg["type"] == "cluster":
         cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
         if norms is None:
             raise DataError("cluster model file lacks normalization params")
         assignments = cmodel.assign([m.line_addr for m in misses])
         vocabs = models.build_cluster_vocabs(
-            misses,
-            assignments,
-            n_train,
-            max_output=cfg["vocab"]["max_output"],
+            misses, assignments, n_train, max_output=cfg["vocab"]["max_output"],
             min_input_count=cfg["cluster"]["min_input_count"],
         )
         model = models.ClusterPrefetcher(
-            vocab_sizes=[v.n_output if v is not None else 0 for v in vocabs],
-            hidden=mcfg["hidden"],
-            layers=mcfg["layers"],
-            dtype=dtype,
-            seed=cfg["seed"],
+            [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
+            layers=mcfg["layers"], dtype=dtype, seed=cfg["seed"],
         )
-        dataset = models.cluster_dataset(misses, assignments, vocabs, norms, model)
-        batches = dict(dataset)
-        batches["label"] = np.where(
-            dataset["target_index"] < n_train, dataset["label"], -1
-        )
-    else:
-        raise ConfigError(f"model.type must be embedding or cluster, got {mcfg['type']!r}")
+        return model, models.cluster_dataset(misses, assignments, vocabs, norms, model), vocabs
+    raise ConfigError(f"model.type must be embedding or cluster, got {mcfg['type']!r}")
+
+
+def _trained(cfg: dict, out_dir: str):
+    """prepare() with model.bin's weights loaded into the model."""
+    path = _require(out_dir, MODEL_FILE)
+    misses = _load_misses(cfg, out_dir)
+    n_train = _n_train(misses, cfg)
+    model, dataset, vocabs = prepare(cfg, out_dir, misses, n_train)
+    models.load_weights(model, path)
+    return misses, n_train, model, dataset, vocabs
+
+
+def run_train(cfg: dict, out_dir: str) -> dict:
+    misses = _load_misses(cfg, out_dir)
+    n_train = _n_train(misses, cfg)
+    t = cfg["train"]
+    tcfg = models.TrainConfig(
+        steps=t["steps"], window=t["window"], optimizer=t["optimizer"], lr=t["lr"], clip=t["clip"]
+    )
+    model, dataset, _ = prepare(cfg, out_dir, misses, n_train)
+    in_train = dataset["target_index"] < n_train
+    if cfg["model"]["type"] == "embedding":
+        batches = models.batchify({key: arr[in_train] for key, arr in dataset.items()}, t["batch"])
+    else:  # one row per cluster; positions past the split carry no label
+        batches = dict(dataset, label=np.where(in_train, dataset["label"], -1))
 
     history = models.train_model(model, batches, tcfg)
     meta = {"config_hash": evaluation.config_hash(evaluation.sanitize(cfg)), "n_train": n_train}
@@ -255,31 +264,13 @@ def run_train(cfg: dict, out_dir: str) -> dict:
     return {"steps": len(history), "final_loss": final}
 
 
-def _model_prediction_sets(cfg, out_dir, misses, n_train, k):
-    model, meta = models.load_model(_require(out_dir, MODEL_FILE))
-    if isinstance(model, models.EmbeddingPrefetcher):
-        v = vocab_mod.load_vocab(_require(out_dir, VOCAB_FILE))
-        pc_vocab = vocab_mod.build_pc_vocab(misses[:n_train])
-        dataset = models.embedding_dataset(misses, v, pc_vocab)
-        return models.embedding_prediction_sets(model, dataset, v, n_train, k)
-    cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
-    assignments = cmodel.assign([m.line_addr for m in misses])
-    vocabs = models.build_cluster_vocabs(
-        misses,
-        assignments,
-        n_train,
-        max_output=cfg["vocab"]["max_output"],
-        min_input_count=cfg["cluster"]["min_input_count"],
-    )
-    dataset = models.cluster_dataset(misses, assignments, vocabs, norms, model)
-    return models.cluster_prediction_sets(model, dataset, vocabs, n_train, k)
-
-
 def run_eval(cfg: dict, out_dir: str) -> dict:
-    misses = _load_misses(cfg, out_dir)
-    n_train = _n_train(misses, cfg)
+    misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
     k = cfg["eval"]["k"]
-    sets = _model_prediction_sets(cfg, out_dir, misses, n_train, k)
+    if cfg["model"]["type"] == "embedding":
+        sets = models.embedding_prediction_sets(model, dataset, vocabs, n_train, k)
+    else:
+        sets = models.cluster_prediction_sets(model, dataset, vocabs, n_train, k)
     metrics = {"model": evaluation.metrics_summary(sets, k)}
     if cfg["eval"]["baselines"]:
         for name, pf in (
@@ -313,10 +304,9 @@ def run_report(cfg: dict, out_dir: str) -> dict:
 
 
 def run_export_embeddings(cfg: dict, out_dir: str) -> dict:
-    model, _ = models.load_model(_require(out_dir, MODEL_FILE))
-    if not isinstance(model, models.EmbeddingPrefetcher) or not model.e_delta:
-        raise DataError("checkpoint has no delta embedding table to export")
-    v = vocab_mod.load_vocab(_require(out_dir, VOCAB_FILE))
+    _, _, model, _, v = _trained(cfg, out_dir)
+    if "emb_delta" not in model.params:
+        raise DataError("the configured model has no delta embedding table to export")
     table = model.params["emb_delta"]
     path = os.path.join(out_dir, "embeddings.csv")
     with open(path, "w", newline="") as f:

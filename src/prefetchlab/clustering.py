@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, TraceFormatError, read_exact
-from .trace import MissRecord, signed_delta
+from .trace import MissRecord
 from .vocab import DeltaRecord, delta_values
 
 
@@ -135,28 +135,36 @@ def partition_stream(
         train_len = len(misses)
     assignments = model.assign([m.line_addr for m in misses])
 
-    sub_streams: list[list[DeltaRecord]] = [[] for _ in range(model.k)]
-    train_deltas: list[list[int]] = [[] for _ in range(model.k)]
-    last_in_cluster: dict[int, int] = {}
-    for i, m in enumerate(misses):
-        c = int(assignments[i])
-        j = last_in_cluster.get(c)
-        if j is not None:
-            prev = misses[j]
-            d = signed_delta(prev.line_addr, m.line_addr)
-            sub_streams[c].append(DeltaRecord(prev.timestep, prev.pc, d))
-            if i < train_len:
-                train_deltas[c].append(d)
-        last_in_cluster[c] = i
-
+    sub_streams: list[list[DeltaRecord]] = []
     norm = np.zeros((model.k, 2), dtype=np.float64)
     norm[:, 1] = 1.0
-    for c in range(model.k):
-        if train_deltas[c]:
-            arr = np.asarray(train_deltas[c], dtype=np.float64)
-            std = float(arr.std())
-            norm[c] = (float(arr.mean()), std if std > 0 else 1.0)
+    for c, (idx, deltas) in enumerate(cluster_deltas(misses, assignments, model.k)):
+        sub_streams.append([
+            DeltaRecord(misses[i].timestep, misses[i].pc, d)
+            for i, d in zip(idx[:-1].tolist(), deltas.tolist())
+        ])
+        train = deltas[idx[1:] < train_len].astype(np.float64)
+        if len(train):
+            std = float(train.std())
+            norm[c] = (float(train.mean()), std if std > 0 else 1.0)
     return ClusteredStream(assignments=assignments, sub_streams=sub_streams, norm_params=norm)
+
+
+def cluster_deltas(
+    misses: Sequence[MissRecord], assignments: np.ndarray, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(miss indices, int64 deltas between them) of each cluster 0..k-1.
+
+    Delta j runs from miss idx[j] to miss idx[j + 1], the next miss of the
+    same cluster: the 64-bit two's-complement difference of their lines,
+    as `trace.signed_delta` computes it.
+    """
+    lines = np.array([m.line_addr for m in misses], dtype=np.uint64)
+    out = []
+    for c in range(k):
+        idx = np.nonzero(assignments == c)[0]
+        out.append((idx, np.diff(lines[idx]).view(np.int64)))
+    return out
 
 
 def normalize_deltas(deltas: Iterable, params) -> np.ndarray:
@@ -165,13 +173,6 @@ def normalize_deltas(deltas: Iterable, params) -> np.ndarray:
     if std <= 0:
         std = 1.0
     return (np.asarray(delta_values(deltas), dtype=np.float64) - mean) / std
-
-
-def denormalize_deltas(values, params) -> np.ndarray:
-    mean, std = float(params[0]), float(params[1])
-    if std <= 0:
-        std = 1.0
-    return np.asarray(values, dtype=np.float64) * std + mean
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,76 @@ from .lstm import (
     uniform_init,
     zero_states,
 )
-from .trace import signed_delta
+from .clustering import cluster_deltas, normalize_deltas
 from .vocab import DeltaVocab, build_vocab
 
 MASK_NEG = -1e30  # additive logit mask for classes a cluster cannot emit
 
 
-class EmbeddingPrefetcher:
+class _LstmPrefetcher:
+    """Stacked LSTM plus softmax head over per-position input vectors.
+
+    Subclasses provide `_inputs(a, b)` (the (T, B, D) input encoding of
+    their two id arrays) and `_loss_mask(b)` (an additive logit mask or
+    None), and put their own input tables into `params` before calling
+    `_init_core`, so RNG draws and parameter order follow that order.
+    """
+
+    def _init_core(self, params: dict, rng, input_dim: int, n_classes: int) -> None:
+        dim = input_dim
+        for l in range(self.layers):
+            params[f"lstm{l}_W"], params[f"lstm{l}_b"] = lstm_layer_init(
+                dim, self.hidden, rng, self.dtype
+            )
+            dim = self.hidden
+        scale = 1.0 / np.sqrt(self.hidden)
+        params["head_W"] = uniform_init((n_classes, self.hidden), scale, rng, self.dtype)
+        params["head_b"] = np.zeros(n_classes, dtype=self.dtype)
+        self.params = params
+
+    def zero_states(self, batch: int):
+        return zero_states(self.layers, batch, self.hidden, self.dtype)
+
+    def _forward(self, a, b, states):
+        Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
+        bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
+        H_top, new_states, caches = lstm_forward(self._inputs(a, b), states, Ws, bs)
+        T, B, H = H_top.shape
+        flat = H_top.reshape(T * B, H)
+        logits = flat @ self.params["head_W"].T + self.params["head_b"]
+        return logits, flat, new_states, caches
+
+    def _loss_terms(self, a, b, labels, states):
+        logits, flat, new_states, caches = self._forward(a, b, states)
+        mask = self._loss_mask(b)
+        if mask is not None:
+            logits = logits + mask
+        loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
+        return loss, dlogits, flat, new_states, caches
+
+    def loss(self, a, b, labels, states):
+        loss, _, _, new_states, _ = self._loss_terms(a, b, labels, states)
+        return loss, new_states
+
+    def _core_grads(self, a, b, labels, states):
+        """Loss, grads keyed in `params` order (input tables left None),
+        dL/d(inputs) (T, B, D) and new states."""
+        loss, dlogits, flat, new_states, caches = self._loss_terms(a, b, labels, states)
+        # in params order: clip_global_norm sums the squares in dict order
+        grads = dict.fromkeys(self.params)
+        grads["head_W"] = dlogits.T @ flat
+        grads["head_b"] = dlogits.sum(axis=0)
+        T, B = np.shape(b)
+        dH_top = (dlogits @ self.params["head_W"]).reshape(T, B, self.hidden)
+        Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
+        dX, dWs, dbs = lstm_backward(dH_top, caches, Ws)
+        for l in range(self.layers):
+            grads[f"lstm{l}_W"] = dWs[l]
+            grads[f"lstm{l}_b"] = dbs[l]
+        return loss, grads, dX, new_states
+
+
+class EmbeddingPrefetcher(_LstmPrefetcher):
     """Stacked LSTM over embedded (pc, input delta) pairs.
 
     `modality` is one of "both", "delta_only", "pc_only". Sizes passed in
@@ -81,7 +144,6 @@ class EmbeddingPrefetcher:
             "delta_only": (0, 2 * embed),
         }[modality]
         self.e_pc, self.e_delta = e_pc, e_delta
-        input_dim = e_pc + e_delta
 
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(hidden)
@@ -90,13 +152,7 @@ class EmbeddingPrefetcher:
             p["emb_pc"] = uniform_init((n_pcs + 1, e_pc), scale, rng, self.dtype)
         if e_delta:
             p["emb_delta"] = uniform_init((n_delta_inputs + 1, e_delta), scale, rng, self.dtype)
-        dim = input_dim
-        for l in range(layers):
-            p[f"lstm{l}_W"], p[f"lstm{l}_b"] = lstm_layer_init(dim, hidden, rng, self.dtype)
-            dim = hidden
-        p["head_W"] = uniform_init((n_outputs + 1, hidden), scale, rng, self.dtype)
-        p["head_b"] = np.zeros(n_outputs + 1, dtype=self.dtype)
-        self.params = p
+        self._init_core(p, rng, e_pc + e_delta, n_outputs + 1)
 
     @property
     def oov_input(self) -> int:
@@ -106,15 +162,7 @@ class EmbeddingPrefetcher:
     def oov_output(self) -> int:
         return self.n_outputs
 
-    def zero_states(self, batch: int):
-        return zero_states(self.layers, batch, self.hidden, self.dtype)
-
-    def _layer_weights(self):
-        Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
-        bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        return Ws, bs
-
-    def _embed(self, pc_ids, delta_ids):
+    def _inputs(self, pc_ids, delta_ids):
         parts = []
         if self.e_pc:
             parts.append(self.params["emb_pc"][pc_ids])
@@ -122,36 +170,11 @@ class EmbeddingPrefetcher:
             parts.append(self.params["emb_delta"][delta_ids])
         return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
 
-    def _forward(self, pc_ids, delta_ids, states):
-        X = self._embed(pc_ids, delta_ids)
-        Ws, bs = self._layer_weights()
-        H_top, new_states, caches = lstm_forward(X, states, Ws, bs)
-        T, B, H = H_top.shape
-        flat = H_top.reshape(T * B, H)
-        logits = flat @ self.params["head_W"].T + self.params["head_b"]
-        return logits, flat, new_states, caches
-
-    def loss(self, pc_ids, delta_ids, labels, states):
-        logits, _, new_states, _ = self._forward(pc_ids, delta_ids, states)
-        loss, _, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
-        return loss, new_states
+    def _loss_mask(self, delta_ids):
+        return None
 
     def loss_and_grads(self, pc_ids, delta_ids, labels, states):
-        logits, flat, new_states, caches = self._forward(pc_ids, delta_ids, states)
-        loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
-
-        grads = {}
-        grads["head_W"] = dlogits.T @ flat
-        grads["head_b"] = dlogits.sum(axis=0)
-        T, B = pc_ids.shape
-        dH_top = (dlogits @ self.params["head_W"]).reshape(T, B, self.hidden)
-
-        Ws, _ = self._layer_weights()
-        dX, dWs, dbs = lstm_backward(dH_top, caches, Ws)
-        for l in range(self.layers):
-            grads[f"lstm{l}_W"] = dWs[l]
-            grads[f"lstm{l}_b"] = dbs[l]
-
+        loss, grads, dX, new_states = self._core_grads(pc_ids, delta_ids, labels, states)
         off = 0
         if self.e_pc:
             grads["emb_pc"] = np.zeros_like(self.params["emb_pc"])
@@ -164,8 +187,7 @@ class EmbeddingPrefetcher:
             np.add.at(
                 grads["emb_delta"], delta_ids.reshape(-1), dX[..., off:].reshape(-1, self.e_delta)
             )
-        # in params order: clip_global_norm sums the squares in dict order
-        return loss, {name: grads[name] for name in self.params}, new_states
+        return loss, grads, new_states
 
     def predict_topk(self, pc_ids, delta_ids, states, k: int = 10):
         """Top-k output class ids per position; the OOV class never appears."""
@@ -176,7 +198,7 @@ class EmbeddingPrefetcher:
         return ids, new_states
 
 
-class ClusterPrefetcher:
+class ClusterPrefetcher(_LstmPrefetcher):
     """Weight-shared LSTM applied per address cluster.
 
     `vocab_sizes[c]` is the dense output count of cluster c (0 for clusters
@@ -203,17 +225,7 @@ class ClusterPrefetcher:
         self.layers = layers
         self.dtype = np.dtype(dtype)
         self.head_size = max(vocab_sizes) + 1
-
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(hidden)
-        p: dict[str, np.ndarray] = {}
-        dim = 1 + self.k
-        for l in range(layers):
-            p[f"lstm{l}_W"], p[f"lstm{l}_b"] = lstm_layer_init(dim, hidden, rng, self.dtype)
-            dim = hidden
-        p["head_W"] = uniform_init((self.head_size, hidden), scale, rng, self.dtype)
-        p["head_b"] = np.zeros(self.head_size, dtype=self.dtype)
-        self.params = p
+        self._init_core({}, np.random.default_rng(seed), 1 + self.k, self.head_size)
 
         # loss mask allows a cluster's own classes plus the shared OOV slot;
         # the prediction mask additionally hides OOV
@@ -232,50 +244,16 @@ class ClusterPrefetcher:
         """Map a per-cluster vocab output id into the shared head."""
         return output_id if output_id < self.vocab_sizes[cluster] else self.oov_label
 
-    def zero_states(self, batch: int):
-        return zero_states(self.layers, batch, self.hidden, self.dtype)
-
-    def _layer_weights(self):
-        Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
-        bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        return Ws, bs
-
     def _inputs(self, norm_delta, cluster_ids):
         onehot = np.eye(self.k, dtype=self.dtype)[cluster_ids]
         return np.concatenate([norm_delta[..., None].astype(self.dtype), onehot], axis=-1)
 
-    def _forward(self, norm_delta, cluster_ids, states):
-        X = self._inputs(norm_delta, cluster_ids)
-        Ws, bs = self._layer_weights()
-        H_top, new_states, caches = lstm_forward(X, states, Ws, bs)
-        T, B, H = H_top.shape
-        flat = H_top.reshape(T * B, H)
-        logits = flat @ self.params["head_W"].T + self.params["head_b"]
-        return logits, flat, new_states, caches
-
-    def loss(self, norm_delta, cluster_ids, labels, states):
-        logits, _, new_states, _ = self._forward(norm_delta, cluster_ids, states)
-        logits = logits + self.loss_mask[cluster_ids.reshape(-1)]
-        loss, _, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
-        return loss, new_states
+    def _loss_mask(self, cluster_ids):
+        return self.loss_mask[cluster_ids.reshape(-1)]
 
     def loss_and_grads(self, norm_delta, cluster_ids, labels, states):
-        logits, flat, new_states, caches = self._forward(norm_delta, cluster_ids, states)
-        masked = logits + self.loss_mask[cluster_ids.reshape(-1)]
-        loss, dlogits, _ = softmax_cross_entropy(masked, np.asarray(labels).reshape(-1))
-
-        grads = {}
-        grads["head_W"] = dlogits.T @ flat
-        grads["head_b"] = dlogits.sum(axis=0)
-        T, B = cluster_ids.shape
-        dH_top = (dlogits @ self.params["head_W"]).reshape(T, B, self.hidden)
-        Ws, _ = self._layer_weights()
-        _, dWs, dbs = lstm_backward(dH_top, caches, Ws)
-        for l in range(self.layers):
-            grads[f"lstm{l}_W"] = dWs[l]
-            grads[f"lstm{l}_b"] = dbs[l]
-        # in params order: clip_global_norm sums the squares in dict order
-        return loss, {name: grads[name] for name in self.params}, new_states
+        loss, grads, _, new_states = self._core_grads(norm_delta, cluster_ids, labels, states)
+        return loss, grads, new_states
 
     def predict_topk(self, norm_delta, cluster_ids, states, k: int = 10):
         """Top-k shared-head ids per position; masked-out slots come back -1."""
@@ -335,13 +313,8 @@ def build_cluster_vocabs(
     """
     k = int(assignments.max()) + 1 if len(assignments) else 0
     vocabs: list[DeltaVocab | None] = []
-    for c in range(k):
-        idx = np.nonzero(assignments == c)[0]
-        train_idx = idx[idx < train_len]
-        ds = [
-            signed_delta(misses[a].line_addr, misses[b].line_addr)
-            for a, b in zip(train_idx[:-1], train_idx[1:])
-        ]
+    for idx, deltas in cluster_deltas(misses, assignments, k):
+        ds = deltas[idx[1:] < train_len].tolist()
         vocabs.append(build_vocab(ds, max_output, min_input_count) if ds else None)
     return vocabs
 
@@ -359,33 +332,8 @@ def cluster_dataset(
     cluster's length carry label -1 and are ignored by the loss.
     """
     k = model.k
-    rows = {"norm_delta": [], "label": [], "delta_raw": [], "target_index": [], "timestep": []}
-    for c in range(k):
-        idx = np.nonzero(assignments == c)[0]
-        raw = [
-            signed_delta(misses[a].line_addr, misses[b].line_addr)
-            for a, b in zip(idx[:-1], idx[1:])
-        ]
-        n_ev = len(raw)
-        mean, std = norm_params[c]
-        norm_in = np.zeros(n_ev, dtype=np.float64)
-        if n_ev > 1:
-            norm_in[1:] = (np.asarray(raw[:-1], dtype=np.float64) - mean) / (std if std > 0 else 1.0)
-        if vocabs[c] is not None:
-            lab = np.array(
-                [model.shared_label(i, c) for i in vocabs[c].encode_output(raw)], dtype=np.int64
-            )
-        else:
-            lab = np.full(n_ev, -1, dtype=np.int64)
-        rows["norm_delta"].append(norm_in)
-        rows["label"].append(lab)
-        rows["delta_raw"].append(np.asarray(raw, dtype=np.int64))
-        rows["target_index"].append(idx[1:].astype(np.int64))
-        rows["timestep"].append(
-            np.array([misses[i].timestep for i in idx[:-1]], dtype=np.int64)
-        )
-
-    max_len = max((len(r) for r in rows["label"]), default=0)
+    per_cluster = cluster_deltas(misses, assignments, k)
+    max_len = max((len(raw) for _, raw in per_cluster), default=0)
     out = {
         "norm_delta": np.zeros((k, max_len), dtype=np.float64),
         "label": np.full((k, max_len), -1, dtype=np.int64),
@@ -393,11 +341,19 @@ def cluster_dataset(
         "target_index": np.full((k, max_len), -1, dtype=np.int64),
         "timestep": np.full((k, max_len), -1, dtype=np.int64),
         "cluster_id": np.tile(np.arange(k, dtype=np.int64)[:, None], (1, max_len)),
-        "length": np.array([len(r) for r in rows["label"]], dtype=np.int64),
+        "length": np.array([len(raw) for _, raw in per_cluster], dtype=np.int64),
     }
-    for name in ("norm_delta", "label", "delta_raw", "target_index", "timestep"):
-        for c in range(k):
-            out[name][c, : len(rows[name][c])] = rows[name][c]
+    for c, (idx, raw) in enumerate(per_cluster):
+        n_ev = len(raw)
+        # the first event's input is the start value 0
+        out["norm_delta"][c, 1:n_ev] = normalize_deltas(raw[:-1], norm_params[c])
+        if vocabs[c] is not None:
+            out["label"][c, :n_ev] = [
+                model.shared_label(i, c) for i in vocabs[c].encode_output(raw)
+            ]
+        out["delta_raw"][c, :n_ev] = raw
+        out["target_index"][c, :n_ev] = idx[1:]
+        out["timestep"][c, :n_ev] = [misses[i].timestep for i in idx[:-1]]
     return out
 
 
@@ -477,7 +433,7 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
 
 
 def save_model(model, path, extra_meta: dict | None = None) -> None:
-    """Write parameters plus enough metadata to rebuild the model."""
+    """Write parameters plus metadata describing the model's shape."""
     from .lstm import save_checkpoint
 
     if isinstance(model, EmbeddingPrefetcher):
@@ -508,37 +464,31 @@ def save_model(model, path, extra_meta: dict | None = None) -> None:
     save_checkpoint(path, model.params, meta)
 
 
-def load_model(path):
-    """Rebuild a model from a checkpoint; returns (model, meta)."""
+def load_weights(model, path) -> dict:
+    """Copy a checkpoint's tensors into `model`; returns its metadata.
+
+    The model must be built exactly as the one that was saved: a tensor
+    name, shape or dtype that differs raises ConfigError naming the file.
+    """
     from .lstm import load_checkpoint
 
     arrays, meta = load_checkpoint(path)
-    kind = meta.get("kind")
-    if kind == "embedding":
-        model = EmbeddingPrefetcher(
-            n_delta_inputs=meta["n_delta_inputs"],
-            n_pcs=meta["n_pcs"],
-            n_outputs=meta["n_outputs"],
-            hidden=meta["hidden"],
-            embed=meta["embed"],
-            layers=meta["layers"],
-            modality=meta["modality"],
-            dtype=np.dtype(meta["dtype"]),
+    stored, built = set(arrays), set(model.params)
+    if stored != built:
+        raise ConfigError(
+            f"{path}: checkpoint tensors do not match the model built from the config "
+            f"(unexpected {sorted(stored - built)}, missing {sorted(built - stored)})"
         )
-    elif kind == "cluster":
-        model = ClusterPrefetcher(
-            vocab_sizes=list(meta["vocab_sizes"]),
-            hidden=meta["hidden"],
-            layers=meta["layers"],
-            dtype=np.dtype(meta["dtype"]),
-        )
-    else:
-        raise ConfigError(f"{path}: unknown model kind {kind!r}")
-    for name, arr in arrays.items():
-        if name not in model.params or model.params[name].shape != arr.shape:
-            raise ConfigError(f"{path}: parameter {name} does not match model shape")
-        model.params[name] = arr.astype(model.dtype)
-    return model, meta
+    for name, p in model.params.items():
+        arr = arrays[name]
+        if arr.shape != p.shape or arr.dtype != p.dtype:
+            raise ConfigError(
+                f"{path}: tensor {name} is {arr.dtype.name}{list(arr.shape)}, the model built "
+                f"from the config has {p.dtype.name}{list(p.shape)}"
+            )
+    for name in model.params:
+        model.params[name] = arrays[name]
+    return meta
 
 
 # ---------------------------------------------------------------------------

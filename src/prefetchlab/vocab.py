@@ -132,15 +132,6 @@ def build_vocab(
     return DeltaVocab(Counter(values), max_output, min_input_count)
 
 
-def encode(deltas: Iterable, vocab: DeltaVocab, side: str) -> np.ndarray:
-    """Encode delta values to class IDs; unseen deltas map to the OOV ID."""
-    if side == "input":
-        return vocab.encode_input(deltas)
-    if side == "output":
-        return vocab.encode_output(deltas)
-    raise DataError(f"side must be 'input' or 'output', got {side!r}")
-
-
 class PcVocab:
     """Dense IDs for PCs seen in training, ordered like DeltaVocab."""
 

@@ -61,6 +61,26 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
     assert first["trace"]["table"] == table
 
 
+@pytest.mark.parametrize(
+    "text,names",
+    [
+        ("trace: {kind: stride\n", ("invalid YAML",)),
+        ("trace: {kind: stride, length: 10}\nmodel: 3\n", ("model must be a mapping",)),
+        ("trace: {kind: stride, length: 10}\ntrain: {setps: 5}\n", ("train.setps",)),
+        ("train: {steps: 5, eval_every: 2}\n", ("train.eval_every",)),
+    ],
+    ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key"],
+)
+def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for name in (str(path),) + names:
+        assert name in lines[0]
+
+
 def test_embedding_pipeline_stages(tmp_path):
     cfg_path = write_cfg(tmp_path, STRIDE_CFG)
     out = tmp_path / "run"
@@ -169,6 +189,36 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
             assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, how, lines)
             assert artifact in lines[0]
         path.write_bytes(data)
+
+
+def assert_eval_refuses_model(cfg_path, out, capsys):
+    capsys.readouterr()
+    assert run("eval", cfg_path, out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "model.bin" in lines[0]
+
+
+def test_eval_refuses_model_trained_on_another_vocabulary(tmp_path, capsys):
+    cfg = dict(REGION_CFG, model=dict(STRIDE_CFG["model"]), vocab={"min_input_count": 1})
+    out = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, cfg)
+    for stage in ("simulate", "vocab", "train", "eval"):
+        assert run(stage, cfg_path, out) == 0
+    smaller = write_cfg(tmp_path, dict(cfg, vocab={"min_input_count": 1, "max_output": 2}),
+                        "smaller.yaml")
+    assert run("vocab", smaller, out) == 0
+    assert_eval_refuses_model(smaller, out, capsys)
+
+
+def test_eval_refuses_model_of_another_type(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, STRIDE_CFG)
+    for stage in ("simulate", "vocab", "cluster", "train"):
+        assert run(stage, cfg_path, out) == 0
+    cluster = write_cfg(tmp_path, dict(STRIDE_CFG, model=dict(REGION_CFG["model"])),
+                        "cluster.yaml")
+    assert_eval_refuses_model(cluster, out, capsys)
 
 
 def test_export_requires_delta_embeddings(tmp_path):

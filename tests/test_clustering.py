@@ -7,7 +7,7 @@ import pytest
 from prefetchlab.clustering import (
     ClusterModel,
     assignments_to_csv,
-    denormalize_deltas,
+    cluster_deltas,
     kmeans_fit,
     load_cluster_model,
     normalize_deltas,
@@ -15,7 +15,7 @@ from prefetchlab.clustering import (
     save_cluster_model,
 )
 from prefetchlab.errors import ConfigError, DataError, TraceFormatError
-from prefetchlab.trace import MissRecord
+from prefetchlab.trace import MissRecord, signed_delta
 
 
 def misses_from_lines(lines, pcs=None):
@@ -136,6 +136,29 @@ def test_partition_stream_merge_reproduces_assignment_order():
     assert sum(len(s) for s in stream.sub_streams) == len(misses) - n_nonempty
 
 
+def test_cluster_deltas_match_signed_delta():
+    rng = np.random.default_rng(17)
+    k = 5
+    # line values span the whole 64-bit range, so deltas wrap both ways
+    lines = [int(x) for x in rng.integers(0, 2**64, size=300, dtype=np.uint64)]
+    lines[:3] = [2**64 - 1, 0, 2**63]
+    assignments = rng.integers(0, 3, size=300)  # clusters 0..2 of k=5
+    assignments[17] = 3  # cluster 3 has a single miss, cluster 4 none
+    misses = misses_from_lines(lines)
+    per_cluster = cluster_deltas(misses, assignments, k)
+    assert len(per_cluster) == k
+    n_negative = 0
+    for c, (idx, deltas) in enumerate(per_cluster):
+        assert idx.tolist() == [i for i in range(300) if assignments[i] == c]
+        assert deltas.dtype == np.int64
+        expected = [signed_delta(lines[a], lines[b]) for a, b in zip(idx[:-1], idx[1:])]
+        assert deltas.tolist() == expected
+        n_negative += sum(d < 0 for d in expected)
+    assert n_negative > 100
+    assert per_cluster[3][0].tolist() == [17] and len(per_cluster[3][1]) == 0
+    assert len(per_cluster[4][0]) == 0 and len(per_cluster[4][1]) == 0
+
+
 def test_norm_params_come_from_train_split_only():
     lines = [0, 10, 30, 60, 1000, 2000]  # deltas 10,20,30 then big test-only ones
     misses = misses_from_lines(lines)
@@ -174,8 +197,6 @@ def test_normalize_matches_single_pass_oracle():
         normed = normalize_deltas(sample, (mean, std))
         assert abs(normed.mean()) < 1e-9
         assert abs(normed.std() - 1.0) < 1e-9
-        back = denormalize_deltas(normed, (mean, std))
-        assert np.allclose(back, sample, atol=1e-6)
 
 
 def test_normalize_zero_std_treated_as_one():

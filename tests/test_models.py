@@ -13,7 +13,7 @@ from prefetchlab.models import (
     cluster_prediction_sets,
     embedding_dataset,
     embedding_prediction_sets,
-    load_model,
+    load_weights,
     save_model,
     train_model,
 )
@@ -463,10 +463,12 @@ def test_embedding_model_checkpoint_roundtrip(tmp_path):
     model = tiny_embedding_model(seed=9, dtype=np.float32)
     path = tmp_path / "m.bin"
     save_model(model, path, {"note": "hi"})
-    loaded, meta = load_model(path)
+    loaded = tiny_embedding_model(seed=10, dtype=np.float32)
+    meta = load_weights(loaded, path)
     assert meta["kind"] == "embedding"
     assert meta["note"] == "hi"
     assert loaded.modality == model.modality
+    assert list(loaded.params) == list(model.params)
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
     pc = np.zeros((2, 1), dtype=np.int64)
@@ -481,7 +483,8 @@ def test_single_modality_checkpoint_roundtrip(tmp_path, modality):
     model = tiny_embedding_model(seed=4, modality=modality)
     path = tmp_path / "m.bin"
     save_model(model, path)
-    loaded, meta = load_model(path)
+    loaded = tiny_embedding_model(seed=5, modality=modality)
+    load_weights(loaded, path)
     assert loaded.modality == modality
     assert loaded.e_pc == model.e_pc and loaded.e_delta == model.e_delta
     for name in model.params:
@@ -492,9 +495,40 @@ def test_cluster_model_checkpoint_roundtrip(tmp_path):
     model = ClusterPrefetcher(vocab_sizes=[3, 7, 2], hidden=5, layers=2, seed=1)
     path = tmp_path / "c.bin"
     save_model(model, path)
-    loaded, meta = load_model(path)
+    loaded = ClusterPrefetcher(vocab_sizes=[3, 7, 2], hidden=5, layers=2, seed=2)
+    meta = load_weights(loaded, path)
     assert meta["kind"] == "cluster"
     assert loaded.vocab_sizes == [3, 7, 2]
     assert loaded.head_size == model.head_size
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
+
+
+def test_load_weights_rejects_mismatched_checkpoints(tmp_path):
+    def saved(name, params):
+        model = tiny_embedding_model()
+        model.params = params
+        path = tmp_path / name
+        save_model(model, path)
+        return path
+
+    good = tiny_embedding_model(seed=3).params
+    extra = dict(good, emb_extra=np.zeros((2, 2)))
+    missing = {name: p for name, p in good.items() if name != "emb_pc"}
+    wrong_shape = dict(good, head_b=np.zeros(7))
+    wrong_dtype = dict(good, head_W=good["head_W"].astype(np.float32))
+    for name, params, match in (
+        ("extra.bin", extra, r"unexpected \['emb_extra'\], missing \[\]"),
+        ("missing.bin", missing, r"unexpected \[\], missing \['emb_pc'\]"),
+        ("shape.bin", wrong_shape, r"head_b is float64\[7\].*float64\[6\]"),
+        ("dtype.bin", wrong_dtype, r"head_W is float32\[6, 8\].*float64\[6, 8\]"),
+    ):
+        path = saved(name, params)
+        model = tiny_embedding_model()
+        before = {key: p.copy() for key, p in model.params.items()}
+        with pytest.raises(ConfigError, match=match) as exc:
+            load_weights(model, path)
+        assert name in str(exc.value)
+        for key, p in model.params.items():  # nothing half-loaded
+            assert np.array_equal(p, before[key]), (name, key)
+    load_weights(tiny_embedding_model(), saved("good.bin", good))

@@ -13,7 +13,6 @@ from prefetchlab.vocab import (
     build_vocab,
     compute_deltas,
     coverage_stats,
-    encode,
     load_vocab,
     mass_prefix_length,
     save_vocab,
@@ -90,9 +89,6 @@ def test_encode_decode_roundtrip():
     v = build_vocab(deltas, max_output=6, min_input_count=1)
     ids = v.encode_output(deltas[:100])
     assert [v.output_deltas()[i] for i in ids] == deltas[:100]
-    assert encode(deltas[:10], v, "output").tolist() == ids[:10].tolist()
-    with pytest.raises(DataError):
-        encode([1], v, "sideways")
 
 
 def test_encode_accepts_records_and_ints():
