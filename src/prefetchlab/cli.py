@@ -69,6 +69,25 @@ DEFAULTS = {
 }
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+_POSITIVE_INT = (_positive_int, "an integer >= 1")
+_FLOAT_DTYPES = ("float16", "float32", "float64")
+# (section, key) -> (check, what the value must be), for the keys that model
+# building, training and evaluation read
+VALUE_CHECKS = {
+    ("model", "hidden"): _POSITIVE_INT,
+    ("model", "embed"): _POSITIVE_INT,
+    ("model", "layers"): _POSITIVE_INT,
+    ("model", "dtype"): (_FLOAT_DTYPES.__contains__, f"one of {', '.join(_FLOAT_DTYPES)}"),
+    ("train", "steps"): _POSITIVE_INT,
+    ("train", "batch"): _POSITIVE_INT,
+    ("train", "window"): _POSITIVE_INT,
+    ("eval", "k"): _POSITIVE_INT,
+}
+
 # libyaml's parser when PyYAML was built with it; both build the same dicts
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -76,8 +95,9 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_config(path, seed: int | None = None) -> dict:
     """Config file merged over DEFAULTS.
 
-    Keys inside a DEFAULTS section must be known; unknown top-level keys
-    pass through. Raises ConfigError naming the file (and key) otherwise.
+    Keys inside a DEFAULTS section must be known, and the keys of
+    VALUE_CHECKS must pass their check; unknown top-level keys pass
+    through. Raises ConfigError naming the file (and key) otherwise.
     """
     with open(path) as f:
         try:
@@ -98,6 +118,10 @@ def load_config(path, seed: int | None = None) -> dict:
             merged[key] = {**defaults, **given}
         else:
             merged[key] = cfg.get(key, defaults)
+    for (section, key), (ok, want) in VALUE_CHECKS.items():
+        value = merged[section][key]
+        if not ok(value):
+            raise ConfigError(f"{path}: {section}.{key} must be {want}, got {value!r}")
     for key in cfg:
         if key not in merged:
             merged[key] = cfg[key]

@@ -185,22 +185,28 @@ def lstm_backward(dH_top, caches, Ws):
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over valid positions; labels < 0 are ignored.
 
-    Returns (loss, dlogits, n_valid) where dlogits already carries the
-    1/n_valid factor.
+    Consumes `logits`, a float (N, C) array: it is overwritten in place
+    and returned as dlogits, so a caller that needs the logits afterwards
+    passes a copy. Returns (loss, dlogits, n_valid) where dlogits already
+    carries the 1/n_valid factor.
     """
     labels = np.asarray(labels)
     valid = labels >= 0
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return 0.0, np.zeros_like(logits), 0
+        logits.fill(0)
+        return 0.0, logits, 0
     idx = np.nonzero(valid)[0]
     lab = labels[idx]
-    # max-subtracted: exp(z) <= 1, and one row sum serves loss and softmax
-    z = logits - logits.max(axis=-1, keepdims=True)
-    dlogits = np.exp(z)
+    # max-subtracted: exp(z) <= 1, and one row sum serves loss and softmax;
+    # the label entries of z are read before exp overwrites them
+    z = logits
+    z -= z.max(axis=-1, keepdims=True)
+    z_lab = z[idx, lab]
+    dlogits = np.exp(z, out=z)
     sums = dlogits.sum(axis=-1, keepdims=True)
     logsumexp = np.log(sums[:, 0])
-    loss = float(np.sum(logsumexp[idx] - z[idx, lab]) / n_valid)
+    loss = float(np.sum(logsumexp[idx] - z_lab) / n_valid)
     dlogits /= sums
     dlogits[idx, lab] -= 1.0
     dlogits[~valid] = 0.0

@@ -73,14 +73,16 @@ class _LstmPrefetcher:
         H_top, new_states, caches = lstm_forward(self._inputs(a, b), states, Ws, bs)
         T, B, H = H_top.shape
         flat = H_top.reshape(T * B, H)
-        logits = flat @ self.params["head_W"].T + self.params["head_b"]
+        logits = flat @ self.params["head_W"].T
+        logits += self.params["head_b"]
         return logits, flat, new_states, caches
 
     def _loss_terms(self, a, b, labels, states):
         logits, flat, new_states, caches = self._forward(a, b, states)
         mask = self._loss_mask(b)
         if mask is not None:
-            logits = logits + mask
+            logits += mask
+        # the logits buffer comes back as dlogits
         loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
         return loss, dlogits, flat, new_states, caches
 
@@ -98,6 +100,8 @@ class _LstmPrefetcher:
         grads["head_b"] = dlogits.sum(axis=0)
         T, B = np.shape(b)
         dH_top = (dlogits @ self.params["head_W"]).reshape(T, B, self.hidden)
+        # the (T*B, C) head buffer is freed before the LSTM backward runs
+        del dlogits
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
         dX, dWs, dbs = lstm_backward(dH_top, caches, Ws)
         for l in range(self.layers):
@@ -257,8 +261,8 @@ class ClusterPrefetcher(_LstmPrefetcher):
 
     def predict_topk(self, norm_delta, cluster_ids, states, k: int = 10):
         """Top-k shared-head ids per position; masked-out slots come back -1."""
-        logits, _, new_states, _ = self._forward(norm_delta, cluster_ids, states)
-        scores = logits + self.pred_mask[cluster_ids.reshape(-1)]
+        scores, _, new_states, _ = self._forward(norm_delta, cluster_ids, states)
+        scores += self.pred_mask[cluster_ids.reshape(-1)]
         ids = topk_indices(scores, min(k, self.head_size))
         picked = np.take_along_axis(scores, ids, axis=-1)
         ids = np.where(picked > MASK_NEG / 2, ids, -1)

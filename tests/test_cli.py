@@ -68,8 +68,20 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("trace: {kind: stride, length: 10}\nmodel: 3\n", ("model must be a mapping",)),
         ("trace: {kind: stride, length: 10}\ntrain: {setps: 5}\n", ("train.setps",)),
         ("train: {steps: 5, eval_every: 2}\n", ("train.eval_every",)),
+        ("eval: {k: 0}\n", ("eval.k",)),
+        ("eval: {k: true}\n", ("eval.k",)),
+        ("model: {hidden: 0}\n", ("model.hidden",)),
+        ("model: {embed: -3}\n", ("model.embed",)),
+        ("model: {layers: 1.5}\n", ("model.layers",)),
+        ("model: {dtype: int8}\n", ("model.dtype",)),
+        ("model: {dtype: null}\n", ("model.dtype",)),
+        ("train: {steps: x}\n", ("train.steps",)),
+        ("train: {batch: '16'}\n", ("train.batch",)),
+        ("train: {window: 0}\n", ("train.window",)),
     ],
-    ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key"],
+    ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
+         "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
+         "dtype_null", "steps_string", "batch_string", "window_zero"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"

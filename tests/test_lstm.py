@@ -314,7 +314,7 @@ def test_softmax_cross_entropy_matches_scalar_oracle():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(6, 5)) * 3
     labels = rng.integers(0, 5, size=6)
-    loss, dlogits, n = softmax_cross_entropy(logits, labels)
+    loss, dlogits, n = softmax_cross_entropy(logits.copy(), labels)
     assert n == 6
     # scalar reference with explicit max subtraction
     total = 0.0
@@ -328,7 +328,7 @@ def test_softmax_cross_entropy_matches_scalar_oracle():
 def test_softmax_cross_entropy_ignores_negative_labels():
     logits = np.array([[1.0, 2.0], [3.0, 0.0], [0.5, 0.5]])
     labels = np.array([0, -1, 1])
-    loss, dlogits, n = softmax_cross_entropy(logits, labels)
+    loss, dlogits, n = softmax_cross_entropy(logits.copy(), labels)
     assert n == 2
     assert np.all(dlogits[1] == 0.0)
     loss2, _, _ = softmax_cross_entropy(logits[[0, 2]], labels[[0, 2]])
@@ -345,12 +345,25 @@ def test_softmax_cross_entropy_gradient_fd():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(4, 6))
     labels = np.array([2, -1, 0, 5])
-    _, dlogits, _ = softmax_cross_entropy(logits, labels)
+    _, dlogits, _ = softmax_cross_entropy(logits.copy(), labels)
     params = {"logits": logits}
     numeric = finite_difference_grads(
-        lambda: softmax_cross_entropy(logits, labels)[0], params, eps=1e-6
+        lambda: softmax_cross_entropy(logits.copy(), labels)[0], params, eps=1e-6
     )
     assert relative_grad_error(dlogits, numeric["logits"]) < 1e-8
+
+
+def test_softmax_cross_entropy_consumes_its_input():
+    rng = np.random.default_rng(6)
+    logits = rng.normal(size=(5, 7)).astype(np.float32)
+    expected = softmax_cross_entropy(logits.copy(), np.array([1, -1, 6, 0, 3]))
+    loss, dlogits, n = softmax_cross_entropy(logits, np.array([1, -1, 6, 0, 3]))
+    assert np.shares_memory(dlogits, logits)
+    assert (loss, n) == expected[::2]
+    assert_bit_equal(dlogits, expected[1])
+    ignored = np.ones((2, 3))
+    _, dlogits, _ = softmax_cross_entropy(ignored, np.array([-1, -1]))
+    assert dlogits is ignored and np.all(ignored == 0.0)
 
 
 def test_softmax_cross_entropy_huge_logits_stable():
@@ -392,7 +405,7 @@ def test_softmax_cross_entropy_bit_equal_to_two_pass(dtype):
         logits[: n // 2, v // 2 :] += dtype(-1e30)
         cases = [labels, np.full(n, -1), np.where(labels < 0, 0, labels)]
         for lab in cases:
-            loss, dl, nv = softmax_cross_entropy(logits, lab)
+            loss, dl, nv = softmax_cross_entropy(logits.copy(), lab)
             loss_ref, dl_ref, nv_ref = two_pass_softmax_cross_entropy(logits, lab)
             assert (loss, nv) == (loss_ref, nv_ref)
             assert type(loss) is type(loss_ref)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from prefetchlab.errors import ConfigError, DataError
+from prefetchlab import models
 from prefetchlab.lstm import finite_difference_grads, relative_grad_error
 from prefetchlab.models import (
     ClusterPrefetcher,
@@ -119,6 +122,40 @@ def test_grads_come_in_params_order():
 # ---------------------------------------------------------------------------
 # Model shapes and behavior
 # ---------------------------------------------------------------------------
+
+
+def test_training_step_holds_one_head_buffer(monkeypatch):
+    """Peak traced memory of a step grows by one (T*B, C) buffer per class
+    added, not by one per softmax stage, and that buffer is freed before
+    the LSTM backward runs."""
+    T, B, small, large = 8, 16, 1001, 4001
+    rng = np.random.default_rng(3)
+    pc = rng.integers(0, 4, size=(T, B))
+    din = rng.integers(0, 7, size=(T, B))
+    labels = rng.integers(-1, small, size=(T, B))
+    live_at_backward = []
+    backward = models.lstm_backward
+
+    def lstm_backward(*args):
+        live_at_backward.append(tracemalloc.get_traced_memory()[0])
+        return backward(*args)
+
+    monkeypatch.setattr(models, "lstm_backward", lstm_backward)
+    peaks = []
+    for n_classes in (small, large):
+        model = EmbeddingPrefetcher(6, 3, n_classes - 1, hidden=8, embed=4, layers=1,
+                                    dtype=np.float32, seed=0)
+        states = model.zero_states(B)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(pc, din, labels, states)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    buffer_growth = T * B * (large - small) * np.dtype(np.float32).itemsize
+    assert peaks[1] - peaks[0] <= 1.3 * buffer_growth
+    # only the (C, H) and (C,) head grads may grow with C by then
+    assert live_at_backward[1] - live_at_backward[0] <= 0.3 * buffer_growth
 
 
 def test_modality_widths_are_preserved():
