@@ -13,7 +13,7 @@ spec = trace.RegionHoppingSpec(length=20_000, run_length=32, seed=1)
 records = trace.generate_synthetic(spec)
 misses, _ = cachesim.simulate(records, cachesim.default_broadwell_config())
 
-deltas = vocab.compute_deltas(misses)
+deltas = vocab.compute_deltas(misses.line)
 stats = vocab.coverage_stats(misses, deltas)
 print("misses:", stats.num_misses)
 print("unique pcs:", stats.num_unique_pcs)

@@ -22,9 +22,9 @@ records = trace.generate_synthetic(spec)
 misses, _ = cachesim.simulate(records, cachesim.default_broadwell_config())
 n_train = split_index(len(misses), 0.7)
 
-deltas = vocab.compute_deltas(misses[:n_train])
+deltas = vocab.compute_deltas(misses.line[:n_train])
 v = vocab.build_vocab(deltas, min_input_count=10)
-pv = vocab.build_pc_vocab(misses[:n_train])
+pv = vocab.build_pc_vocab(misses.pc[:n_train])
 print("vocab:", v.n_input, "inputs,", v.n_output, "outputs,", pv.n_pcs, "pcs")
 
 model = models.EmbeddingPrefetcher(

@@ -18,11 +18,11 @@ records = trace.generate_synthetic(spec)
 misses, _ = cachesim.simulate(records, cachesim.default_broadwell_config())
 n_train = split_index(len(misses), 0.7)
 
-km = clustering.kmeans_fit([m.line_addr for m in misses[:n_train]], k=3, seed=4)
+km = clustering.kmeans_fit(misses.line[:n_train], k=3, seed=4)
 print("centroids (line addrs):", [f"{c:.3e}" for c in km.centroids])
 stream = clustering.partition_stream(misses, km, train_len=n_train)
-for cid, sub in enumerate(stream.sub_streams):
-    print(f"  cluster {cid}: {len(sub)} misses")
+for cid, n in enumerate(np.bincount(stream.assignments, minlength=km.k).tolist()):
+    print(f"  cluster {cid}: {n} misses")
 
 vocabs = models.build_cluster_vocabs(misses, stream.assignments, n_train, min_input_count=1)
 print("per-cluster output classes:", [v.n_output if v else None for v in vocabs])

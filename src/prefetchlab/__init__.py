@@ -20,7 +20,7 @@ from .clustering import (
     normalize_deltas,
     partition_stream,
 )
-from .errors import ConfigError, DataError, TraceFormatError, TraceParseError
+from .errors import ConfigError, DataError, TraceFormatError
 from .eval import (
     PredictionSet,
     geometric_mean,
@@ -40,7 +40,7 @@ from .models import (
 )
 from .trace import (
     LinkedListSpec,
-    MissRecord,
+    MissStream,
     MultiStrideSpec,
     PcCorrelatedSpec,
     RegionHoppingSpec,

@@ -14,13 +14,14 @@ from collections import OrderedDict
 
 from .errors import ConfigError
 from .eval import PredictionSet
-from .trace import signed_delta
+from .trace import MissStream
+from .vocab import compute_deltas
 
 
 class StreamPrefetcher:
     """Confirmation-based stream prefetcher.
 
-    Tracks up to `max_streams` streams with LRU replacement. A miss joins
+    Tracks up to `max_streams` streams with LRU eviction. A miss joins
     the most recently used stream whose last line is within +-`window`
     lines; a stream is confirmed once the same stride repeats, and while
     confirmed it prefetches stride multiples 1..degree ahead.
@@ -179,15 +180,19 @@ class GhbPcDc:
         return preds
 
 
-def baseline_prediction_sets(prefetcher, misses, start: int = 0) -> list[PredictionSet]:
+def baseline_prediction_sets(
+    prefetcher, misses: MissStream, start: int = 0
+) -> list[PredictionSet]:
     """Run a prefetcher over a miss stream; one PredictionSet per transition
     t -> t+1 with t + 1 >= `start`. Every miss still updates the
     prefetcher's state."""
     out = []
     observe = prefetcher.observe
-    for t, m in enumerate(misses):
-        preds = observe(m.pc, m.line_addr)
-        if start <= t + 1 < len(misses):
-            true = signed_delta(m.line_addr, misses[t + 1].line_addr)
-            out.append(PredictionSet(timestep=m.timestep, predicted=preds[:10], true_delta=true))
+    # Python ints: numpy scalars are slower here, and uint64 ones would
+    # wrap the prefetchers' line differences
+    deltas = compute_deltas(misses.line).tolist()
+    for t, (pc, line) in enumerate(zip(misses.pc.tolist(), misses.line.tolist())):
+        preds = observe(pc, line)
+        if start <= t + 1 <= len(deltas):
+            out.append(PredictionSet(timestep=t, predicted=preds[:10], true_delta=deltas[t]))
     return out

@@ -1,7 +1,7 @@
 """Set-associative multi-level cache simulation over access traces.
 
 The hierarchy is non-inclusive with fill-on-miss into every level along the
-miss path, LRU replacement per set, and no timing model. Loads and stores
+miss path, LRU eviction per set, and no timing model. Loads and stores
 are treated identically. The miss stream handed to the models is the
 sequence of accesses that miss at `miss_emit_level` (LLC by default), in
 trace order, each carrying the PC that generated it.
@@ -13,8 +13,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .trace import MissRecord, TraceRecord
+from .trace import MissStream, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -22,7 +24,6 @@ class CacheLevelConfig:
     capacity: int
     associativity: int
     line_size: int = 64
-    replacement: str = "LRU"
 
     def __post_init__(self):
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):
@@ -34,8 +35,6 @@ class CacheLevelConfig:
                 f"capacity {self.capacity} not divisible by "
                 f"associativity*line_size = {self.associativity * self.line_size}"
             )
-        if self.replacement != "LRU":
-            raise ConfigError(f"unsupported replacement policy: {self.replacement!r}")
 
     @property
     def num_sets(self) -> int:
@@ -131,7 +130,7 @@ class _Level:
 
 def simulate(
     trace: Iterable[TraceRecord], config: HierarchyConfig
-) -> tuple[list[MissRecord], SimStats]:
+) -> tuple[MissStream, SimStats]:
     """Replay `trace` through the hierarchy; return (miss stream, stats).
 
     Deterministic: only a function of the trace and the configuration.
@@ -141,7 +140,7 @@ def simulate(
     emit = config.emit_index
     shift = config.line_size.bit_length() - 1
 
-    misses: list[MissRecord] = []
+    missed: list[TraceRecord] = []
     for rec in trace:
         line = rec.addr >> shift
         for i, lv in enumerate(levels):
@@ -152,6 +151,7 @@ def simulate(
                 break
             st.misses += 1
             if i == emit:
-                misses.append(MissRecord(len(misses), rec.pc, rec.addr, line))
+                missed.append(rec)
     stats.check()
-    return misses, stats
+    pairs = np.array(missed, dtype=np.uint64).reshape(-1, 2)
+    return MissStream.from_pairs(pairs, config.line_size), stats

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import math
 import os
 import sys
 
@@ -69,15 +71,29 @@ DEFAULTS = {
 }
 
 
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _int(value) and value >= 1
+
+
+def _positive_number(value) -> bool:
+    return (_int(value) or isinstance(value, float)) and 0 < value < math.inf
 
 
 _POSITIVE_INT = (_positive_int, "an integer >= 1")
 _FLOAT_DTYPES = ("float16", "float32", "float64")
-# (section, key) -> (check, what the value must be), for the keys that model
-# building, training and evaluation read
+# key path -> (check, what the value must be); the trace: and cache: sections
+# are checked when their specs are built
 VALUE_CHECKS = {
+    ("seed",): (_int, "an integer"),
+    ("vocab", "max_output"): _POSITIVE_INT,
+    ("vocab", "min_input_count"): _POSITIVE_INT,
+    ("cluster", "k"): _POSITIVE_INT,
+    ("cluster", "max_iters"): _POSITIVE_INT,
+    ("cluster", "min_input_count"): _POSITIVE_INT,
     ("model", "hidden"): _POSITIVE_INT,
     ("model", "embed"): _POSITIVE_INT,
     ("model", "layers"): _POSITIVE_INT,
@@ -85,6 +101,8 @@ VALUE_CHECKS = {
     ("train", "steps"): _POSITIVE_INT,
     ("train", "batch"): _POSITIVE_INT,
     ("train", "window"): _POSITIVE_INT,
+    ("train", "lr"): (lambda v: v is None or _positive_number(v), "null or a number > 0"),
+    ("train", "clip"): (_positive_number, "a number > 0"),
     ("eval", "k"): _POSITIVE_INT,
 }
 
@@ -118,15 +136,15 @@ def load_config(path, seed: int | None = None) -> dict:
             merged[key] = {**defaults, **given}
         else:
             merged[key] = cfg.get(key, defaults)
-    for (section, key), (ok, want) in VALUE_CHECKS.items():
-        value = merged[section][key]
-        if not ok(value):
-            raise ConfigError(f"{path}: {section}.{key} must be {want}, got {value!r}")
     for key in cfg:
         if key not in merged:
             merged[key] = cfg[key]
     if seed is not None:
         merged["seed"] = seed
+    for keys, (ok, want) in VALUE_CHECKS.items():
+        value = functools.reduce(dict.__getitem__, keys, merged)
+        if not ok(value):
+            raise ConfigError(f"{path}: {'.'.join(keys)} must be {want}, got {value!r}")
     return merged
 
 
@@ -150,11 +168,19 @@ def trace_spec_from_config(cfg: dict):
 
 
 def hierarchy_from_config(cfg: dict) -> HierarchyConfig:
+    """`cache:` is broadwell (the default) or {levels: [...], miss_emit_level}."""
     section = cfg.get("cache", "broadwell")
     if section in (None, "broadwell"):
         return default_broadwell_config()
-    levels = tuple(CacheLevelConfig(**lvl) for lvl in section["levels"])
-    return HierarchyConfig(levels=levels, miss_emit_level=section.get("miss_emit_level", -1))
+    if not isinstance(section, dict) or not isinstance(section.get("levels"), list):
+        raise ConfigError(f"cache must be broadwell or a mapping with a levels list, "
+                          f"got {section!r}")
+    rest = {key: value for key, value in section.items() if key != "levels"}
+    try:
+        levels = tuple(CacheLevelConfig(**level) for level in section["levels"])
+        return HierarchyConfig(levels=levels, **rest)
+    except TypeError as e:
+        raise ConfigError(f"bad cache config {section!r}: {e}") from None
 
 
 def _require(out_dir: str, name: str) -> str:
@@ -199,7 +225,7 @@ def _load_misses(cfg: dict, out_dir: str):
 def run_vocab(cfg: dict, out_dir: str) -> dict:
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
-    deltas = vocab_mod.compute_deltas(misses[:n_train])
+    deltas = vocab_mod.compute_deltas(misses.line[:n_train])
     v = vocab_mod.build_vocab(
         deltas,
         max_output=cfg["vocab"]["max_output"],
@@ -213,7 +239,7 @@ def run_cluster(cfg: dict, out_dir: str) -> dict:
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
     model = clustering.kmeans_fit(
-        [m.line_addr for m in misses[:n_train]],
+        misses.line[:n_train],
         k=cfg["cluster"]["k"],
         max_iters=cfg["cluster"]["max_iters"],
         seed=cfg["seed"],
@@ -234,7 +260,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int):
     dtype = np.dtype(mcfg["dtype"])
     if mcfg["type"] == "embedding":
         v = vocab_mod.load_vocab(_require(out_dir, VOCAB_FILE))
-        pc_vocab = vocab_mod.build_pc_vocab(misses[:n_train])
+        pc_vocab = vocab_mod.build_pc_vocab(misses.pc[:n_train])
         model = models.EmbeddingPrefetcher(
             v.n_input, pc_vocab.n_pcs, v.n_output, hidden=mcfg["hidden"], embed=mcfg["embed"],
             layers=mcfg["layers"], modality=mcfg["modality"], dtype=dtype, seed=cfg["seed"],
@@ -244,7 +270,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int):
         cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
         if norms is None:
             raise DataError("cluster model file lacks normalization params")
-        assignments = cmodel.assign([m.line_addr for m in misses])
+        assignments = cmodel.assign(misses.line)
         vocabs = models.build_cluster_vocabs(
             misses, assignments, n_train, max_output=cfg["vocab"]["max_output"],
             min_input_count=cfg["cluster"]["min_input_count"],
@@ -310,7 +336,7 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
 
 def run_report(cfg: dict, out_dir: str) -> dict:
     misses = _load_misses(cfg, out_dir)
-    deltas = vocab_mod.compute_deltas(misses)
+    deltas = vocab_mod.compute_deltas(misses.line)
     coverage = vocab_mod.coverage_stats(misses, deltas)
     metrics = evaluation.read_report(_require(out_dir, METRICS_FILE))
     sim_stats = evaluation.read_report(_require(out_dir, SIM_STATS_FILE))

@@ -10,16 +10,13 @@ from the training split only.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, TraceFormatError, read_exact
-from .trace import MissRecord
-from .vocab import DeltaRecord, delta_values
+from .trace import MissStream
 
 
 @dataclass
@@ -36,10 +33,10 @@ class ClusterModel:
 
 
 def kmeans_fit(
-    addresses: Iterable[int], k: int, max_iters: int = 100, seed: int = 0
+    addresses: np.ndarray, k: int, max_iters: int = 100, seed: int = 0
 ) -> ClusterModel:
     """Lloyd's algorithm on scalar addresses; deterministic given seed."""
-    x = np.asarray(list(addresses), dtype=np.float64)
+    x = np.asarray(addresses, dtype=np.float64)
     if k < 1:
         raise ConfigError("k must be >= 1")
     if len(np.unique(x)) < k:
@@ -101,31 +98,16 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 @dataclass
 class ClusteredStream:
-    """Per-cluster delta sub-streams plus the per-miss cluster assignment.
-
-    Sub-stream records keep their global miss timesteps, so merging the
-    sub-streams back by timestep reproduces the original order. Each
-    record's delta runs from its miss to the next miss in the same cluster.
-    """
+    """The cluster of every miss, and each cluster's delta normalization."""
 
     assignments: np.ndarray  # cluster id per input miss
-    sub_streams: list[list[DeltaRecord]]
     norm_params: np.ndarray  # (k, 2): mean, std per cluster (train split only)
-
-    def merged_timesteps(self) -> list[tuple[int, int]]:
-        """(timestep, cluster_id) pairs of all sub-stream records, in order."""
-        pairs = [
-            (rec.timestep, c)
-            for c, recs in enumerate(self.sub_streams)
-            for rec in recs
-        ]
-        return sorted(pairs)
 
 
 def partition_stream(
-    misses: Sequence[MissRecord], model: ClusterModel, train_len: int | None = None
+    misses: MissStream, model: ClusterModel, train_len: int | None = None
 ) -> ClusteredStream:
-    """Split a miss stream into per-cluster delta streams.
+    """Assign every miss to a cluster and normalize each cluster's deltas.
 
     `train_len` bounds the miss prefix whose deltas feed the normalization
     parameters (both endpoints of a delta must fall inside the prefix);
@@ -133,33 +115,27 @@ def partition_stream(
     """
     if train_len is None:
         train_len = len(misses)
-    assignments = model.assign([m.line_addr for m in misses])
+    assignments = model.assign(misses.line)
 
-    sub_streams: list[list[DeltaRecord]] = []
     norm = np.zeros((model.k, 2), dtype=np.float64)
     norm[:, 1] = 1.0
-    for c, (idx, deltas) in enumerate(cluster_deltas(misses, assignments, model.k)):
-        sub_streams.append([
-            DeltaRecord(misses[i].timestep, misses[i].pc, d)
-            for i, d in zip(idx[:-1].tolist(), deltas.tolist())
-        ])
+    for c, (idx, deltas) in enumerate(cluster_deltas(misses.line, assignments, model.k)):
         train = deltas[idx[1:] < train_len].astype(np.float64)
         if len(train):
             std = float(train.std())
             norm[c] = (float(train.mean()), std if std > 0 else 1.0)
-    return ClusteredStream(assignments=assignments, sub_streams=sub_streams, norm_params=norm)
+    return ClusteredStream(assignments=assignments, norm_params=norm)
 
 
 def cluster_deltas(
-    misses: Sequence[MissRecord], assignments: np.ndarray, k: int
+    lines: np.ndarray, assignments: np.ndarray, k: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(miss indices, int64 deltas between them) of each cluster 0..k-1.
 
     Delta j runs from miss idx[j] to miss idx[j + 1], the next miss of the
-    same cluster: the 64-bit two's-complement difference of their lines,
-    as `trace.signed_delta` computes it.
+    same cluster: the 64-bit two's-complement difference of their uint64
+    `lines`, as `trace.signed_delta` computes it.
     """
-    lines = np.array([m.line_addr for m in misses], dtype=np.uint64)
     out = []
     for c in range(k):
         idx = np.nonzero(assignments == c)[0]
@@ -167,12 +143,12 @@ def cluster_deltas(
     return out
 
 
-def normalize_deltas(deltas: Iterable, params) -> np.ndarray:
+def normalize_deltas(deltas: np.ndarray, params) -> np.ndarray:
     """(delta - mean) / std as float64; std must come pre-clamped (>0)."""
     mean, std = float(params[0]), float(params[1])
     if std <= 0:
         std = 1.0
-    return (np.asarray(delta_values(deltas), dtype=np.float64) - mean) / std
+    return (np.asarray(deltas, dtype=np.float64) - mean) / std
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +194,3 @@ def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray | None]:
     model = ClusterModel(k=k, centroids=centroids, n_iters=n_iters, inertia=inertia)
     return model, norms
 
-
-def assignments_to_csv(misses: Sequence[MissRecord], model: ClusterModel, path) -> None:
-    """(timestep, addr, cluster_id) rows for address-space plots."""
-    assign = model.assign([m.line_addr for m in misses])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["timestep", "addr", "cluster_id"])
-        for m, c in zip(misses, assign):
-            w.writerow([m.timestep, m.addr, int(c)])

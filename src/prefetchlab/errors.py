@@ -9,11 +9,7 @@ class ConfigError(ValueError):
 
 
 class TraceFormatError(ValueError):
-    """File does not carry the expected magic/header."""
-
-
-class TraceParseError(ValueError):
-    """Malformed record; message names the byte or line offset."""
+    """File does not carry the expected magic/header, or is truncated."""
 
 
 class DataError(ValueError):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .eval import PredictionSet
 from .lstm import (
     adagrad_step,
     adam_step,
@@ -38,6 +39,7 @@ from .lstm import (
     zero_states,
 )
 from .clustering import cluster_deltas, normalize_deltas
+from .trace import MissStream
 from .vocab import DeltaVocab, build_vocab
 
 MASK_NEG = -1e30  # additive logit mask for classes a cluster cannot emit
@@ -275,7 +277,7 @@ class ClusterPrefetcher(_LstmPrefetcher):
 # ---------------------------------------------------------------------------
 
 
-def embedding_dataset(misses, delta_vocab: DeltaVocab, pc_vocab) -> dict:
+def embedding_dataset(misses: MissStream, delta_vocab: DeltaVocab, pc_vocab) -> dict:
     """Per-event arrays for the embedding model.
 
     Event t covers the transition miss t -> miss t+1: the input delta is
@@ -284,19 +286,15 @@ def embedding_dataset(misses, delta_vocab: DeltaVocab, pc_vocab) -> dict:
     """
     from .vocab import compute_deltas
 
-    deltas = compute_deltas(misses)
-    raw = np.array([r.delta for r in deltas], dtype=np.int64)
-    labels = delta_vocab.encode_output(raw.tolist())
+    raw = compute_deltas(misses.line)
     delta_in = np.empty(len(raw), dtype=np.int64)
     delta_in[0] = delta_vocab.oov_input
-    if len(raw) > 1:
-        delta_in[1:] = delta_vocab.encode_input(raw[:-1].tolist())
-    pcs = pc_vocab.encode([r.pc for r in deltas])
-    ts = np.array([r.timestep for r in deltas], dtype=np.int64)
+    delta_in[1:] = delta_vocab.encode_input(raw[:-1])
+    ts = np.arange(len(raw), dtype=np.int64)
     return {
-        "pc": pcs,
+        "pc": pc_vocab.encode(misses.pc[:-1]),
         "delta_in": delta_in,
-        "label": labels,
+        "label": delta_vocab.encode_output(raw),
         "delta_raw": raw,
         "timestep": ts,
         "target_index": ts + 1,
@@ -304,7 +302,7 @@ def embedding_dataset(misses, delta_vocab: DeltaVocab, pc_vocab) -> dict:
 
 
 def build_cluster_vocabs(
-    misses,
+    misses: MissStream,
     assignments: np.ndarray,
     train_len: int,
     max_output: int = 50_000,
@@ -317,14 +315,14 @@ def build_cluster_vocabs(
     """
     k = int(assignments.max()) + 1 if len(assignments) else 0
     vocabs: list[DeltaVocab | None] = []
-    for idx, deltas in cluster_deltas(misses, assignments, k):
-        ds = deltas[idx[1:] < train_len].tolist()
-        vocabs.append(build_vocab(ds, max_output, min_input_count) if ds else None)
+    for idx, deltas in cluster_deltas(misses.line, assignments, k):
+        ds = deltas[idx[1:] < train_len]
+        vocabs.append(build_vocab(ds, max_output, min_input_count) if len(ds) else None)
     return vocabs
 
 
 def cluster_dataset(
-    misses,
+    misses: MissStream,
     assignments: np.ndarray,
     vocabs: list[DeltaVocab | None],
     norm_params: np.ndarray,
@@ -336,7 +334,7 @@ def cluster_dataset(
     cluster's length carry label -1 and are ignored by the loss.
     """
     k = model.k
-    per_cluster = cluster_deltas(misses, assignments, k)
+    per_cluster = cluster_deltas(misses.line, assignments, k)
     max_len = max((len(raw) for _, raw in per_cluster), default=0)
     out = {
         "norm_delta": np.zeros((k, max_len), dtype=np.float64),
@@ -357,7 +355,7 @@ def cluster_dataset(
             ]
         out["delta_raw"][c, :n_ev] = raw
         out["target_index"][c, :n_ev] = idx[1:]
-        out["timestep"][c, :n_ev] = [misses[i].timestep for i in idx[:-1]]
+        out["timestep"][c, :n_ev] = idx[:-1]
     return out
 
 
@@ -510,8 +508,6 @@ def embedding_prediction_sets(
 ):
     """Stream the full event sequence (warm state) and keep events whose
     target miss index is >= test_start."""
-    from .eval import PredictionSet
-
     n = len(dataset["label"])
     states = model.zero_states(1)
     keep = dataset["target_index"] >= test_start
@@ -541,8 +537,6 @@ def cluster_prediction_sets(
     k: int = 10,
     window: int = 512,
 ):
-    from .eval import PredictionSet
-
     rows, cols = dataset["label"].shape
     states = model.zero_states(rows)
     keep = (dataset["target_index"] >= test_start) & (

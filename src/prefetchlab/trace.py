@@ -1,29 +1,26 @@
-"""Memory access trace formats and synthetic trace generators.
+"""Memory access traces, miss streams and synthetic trace generators.
 
-File formats
-------------
-binary: 8-byte magic ``PFTRACE1`` followed by fixed-width 16-byte records,
-    each a little-endian (pc: u64, addr: u64) pair. Seekable, no padding.
-text:   one ``0xPC,0xADDR`` pair per line, ``#`` starts a comment. The
-    writer emits a single comment header line; readers skip comments and
-    blank lines.
-
-Miss streams reuse the same layouts with (pc, addr) per miss; timesteps are
-implicit in record order and the line address is recomputed on load.
+File format
+-----------
+8-byte magic ``PFTRACE1`` followed by fixed-width 16-byte records, each a
+little-endian (pc: u64, addr: u64) pair. Seekable, no padding. Miss
+streams use the same layout with one record per miss; the miss index is
+the timestep, and the line address is recomputed on load.
 """
 
 from __future__ import annotations
 
+import os
 import random
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import ConfigError, TraceFormatError, TraceParseError
+import numpy as np
+
+from .errors import ConfigError, TraceFormatError
 
 TRACE_MAGIC = b"PFTRACE1"
-_RECORD = struct.Struct("<QQ")
-_CHUNK_RECORDS = 4096
+_RECORD_BYTES = 16
 _MASK64 = (1 << 64) - 1
 
 
@@ -34,13 +31,26 @@ class TraceRecord(NamedTuple):
     addr: int
 
 
-class MissRecord(NamedTuple):
-    """One cache-miss event, ordered by 0-based timestep within its stream."""
+@dataclass(frozen=True, eq=False)
+class MissStream:
+    """A cache-miss stream as equal-length uint64 columns.
 
-    timestep: int
-    pc: int
-    addr: int
-    line_addr: int
+    Miss i happened at timestep i; `line` is `addr` at cache-line
+    granularity.
+    """
+
+    pc: np.ndarray
+    addr: np.ndarray
+    line: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pc)
+
+    @classmethod
+    def from_pairs(cls, pairs: np.ndarray, line_size: int) -> MissStream:
+        """Stream of the (n, 2) (pc, addr) rows of `pairs`."""
+        pc, addr = np.ascontiguousarray(pairs.T, dtype=np.uint64)
+        return cls(pc, addr, addr >> np.uint64(_line_shift(line_size)))
 
 
 def signed_delta(line_a: int, line_b: int) -> int:
@@ -54,90 +64,43 @@ def signed_delta(line_a: int, line_b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_trace(records: Iterable[TraceRecord], path, fmt: str = "binary") -> None:
-    """Write records to `path` in the given format ("binary" or "text")."""
-    if fmt == "binary":
-        with open(path, "wb") as f:
-            f.write(TRACE_MAGIC)
-            for rec in records:
-                f.write(_RECORD.pack(rec.pc, rec.addr))
-    elif fmt == "text":
-        with open(path, "w") as f:
-            f.write("# pftrace v1: pc,addr (hex)\n")
-            for rec in records:
-                f.write(f"0x{rec.pc:x},0x{rec.addr:x}\n")
-    else:
-        raise ConfigError(f"unknown trace format: {fmt!r}")
+def _write_pairs(path, pairs: np.ndarray) -> None:
+    with open(path, "wb") as f:
+        f.write(TRACE_MAGIC)
+        pairs.astype("<u8", copy=False).tofile(f)
 
 
-def read_trace(path, fmt: str = "binary") -> Iterator[TraceRecord]:
-    """Stream records from `path`; memory use is independent of trace length."""
-    if fmt == "binary":
-        return _read_binary(path)
-    if fmt == "text":
-        return _read_text(path)
-    raise ConfigError(f"unknown trace format: {fmt!r}")
-
-
-def _read_binary(path) -> Iterator[TraceRecord]:
+def _read_pairs(path) -> np.ndarray:
+    """The (n, 2) uint64 records of a file written by `_write_pairs`."""
     with open(path, "rb") as f:
         magic = f.read(len(TRACE_MAGIC))
         if magic != TRACE_MAGIC:
+            raise TraceFormatError(f"{path}: bad magic {magic!r}, expected {TRACE_MAGIC!r}")
+        size = os.fstat(f.fileno()).st_size - len(TRACE_MAGIC)
+        if size % _RECORD_BYTES:
             raise TraceFormatError(
-                f"{path}: bad magic {magic!r}, expected {TRACE_MAGIC!r}"
+                f"{path}: truncated record at byte offset "
+                f"{len(TRACE_MAGIC) + size - size % _RECORD_BYTES}"
             )
-        offset = len(TRACE_MAGIC)
-        while True:
-            chunk = f.read(_RECORD.size * _CHUNK_RECORDS)
-            if not chunk:
-                return
-            if len(chunk) % _RECORD.size:
-                raise TraceParseError(
-                    f"{path}: truncated record at byte offset "
-                    f"{offset + len(chunk) - len(chunk) % _RECORD.size}"
-                )
-            for pc, addr in _RECORD.iter_unpack(chunk):
-                yield TraceRecord(pc, addr)
-            offset += len(chunk)
+        return np.fromfile(f, dtype="<u8").reshape(-1, 2)
 
 
-def _read_text(path) -> Iterator[TraceRecord]:
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split(",")
-            if len(parts) != 2:
-                raise TraceParseError(f"{path}: line {lineno}: expected 'pc,addr'")
-            try:
-                pc = int(parts[0], 16)
-                addr = int(parts[1], 16)
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: invalid hex field in {body!r}"
-                ) from None
-            if not (0 <= pc <= _MASK64 and 0 <= addr <= _MASK64):
-                raise TraceParseError(f"{path}: line {lineno}: value out of 64-bit range")
-            yield TraceRecord(pc, addr)
+def write_trace(records: Sequence[TraceRecord], path) -> None:
+    _write_pairs(path, np.array(records, dtype=np.uint64).reshape(-1, 2))
 
 
-def write_miss_trace(misses: Iterable[MissRecord], path, fmt: str = "binary") -> None:
-    """Write a miss stream using the trace layout (pc, addr per miss)."""
-    write_trace((TraceRecord(m.pc, m.addr) for m in misses), path, fmt)
+def read_trace(path) -> list[TraceRecord]:
+    return list(map(TraceRecord._make, _read_pairs(path).tolist()))
 
 
-def read_miss_trace(path, fmt: str = "binary", line_size: int = 64) -> list[MissRecord]:
-    """Load a miss stream written by `write_miss_trace`.
+def write_miss_trace(misses: MissStream, path) -> None:
+    _write_pairs(path, np.column_stack((misses.pc, misses.addr)))
 
-    Timesteps are assigned from record order; line addresses are derived
-    from `line_size`, which must match the simulation that produced the file.
-    """
-    shift = _line_shift(line_size)
-    return [
-        MissRecord(t, rec.pc, rec.addr, rec.addr >> shift)
-        for t, rec in enumerate(read_trace(path, fmt))
-    ]
+
+def read_miss_trace(path, line_size: int = 64) -> MissStream:
+    """Load a miss stream written by `write_miss_trace`; `line_size` must
+    match the simulation that produced the file."""
+    return MissStream.from_pairs(_read_pairs(path), line_size)
 
 
 def _line_shift(line_size: int) -> int:

@@ -1,9 +1,10 @@
 """Delta streams, delta/PC vocabularies and corpus coverage statistics.
 
-Deltas are two's-complement differences of successive cache-line addresses
-in the miss stream: record N pairs the PC of miss N with the delta leading
-to miss N+1. Line granularity (not bytes) is used throughout, since a
-prefetch only has to land in the right line.
+A delta stream is an int64 array of the 64-bit two's-complement
+differences of successive cache-line addresses in a miss stream: element
+t runs from miss t to miss t+1, and the PC of miss t is its context. Line
+granularity (not bytes) is used throughout, since a prefetch only has to
+land in the right line.
 
 Class IDs are dense and 0-based. Ordering is by descending frequency with
 ties broken by ascending delta value, which makes vocabularies a pure
@@ -15,52 +16,27 @@ has one extra reserved ID (`oov_input` / `oov_output`) for everything else.
 
 from __future__ import annotations
 
-import csv
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, TraceFormatError, read_exact
-from .trace import MissRecord, signed_delta
+from .trace import MissStream
 
 
-class DeltaRecord:
-    """(timestep, pc of miss N, delta from miss N to miss N+1)."""
-
-    __slots__ = ("timestep", "pc", "delta")
-
-    def __init__(self, timestep: int, pc: int, delta: int):
-        self.timestep = timestep
-        self.pc = pc
-        self.delta = delta
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaRecord)
-            and (self.timestep, self.pc, self.delta)
-            == (other.timestep, other.pc, other.delta)
-        )
-
-    def __repr__(self):
-        return f"DeltaRecord(timestep={self.timestep}, pc={self.pc:#x}, delta={self.delta})"
-
-
-def compute_deltas(misses: Sequence[MissRecord]) -> list[DeltaRecord]:
-    """Line-granular delta stream; output length is len(misses) - 1."""
-    if len(misses) < 2:
+def compute_deltas(lines: np.ndarray) -> np.ndarray:
+    """int64 line deltas of a uint64 line array: element t runs from miss t
+    to miss t + 1, as `trace.signed_delta` computes it."""
+    if len(lines) < 2:
         raise DataError("need at least 2 misses to form a delta stream")
-    return [
-        DeltaRecord(m.timestep, m.pc, signed_delta(m.line_addr, nxt.line_addr))
-        for m, nxt in zip(misses, misses[1:])
-    ]
+    return np.diff(lines).view(np.int64)
 
 
-def delta_values(deltas: Iterable) -> list[int]:
-    """Accept DeltaRecords or plain ints and return the delta values."""
-    return [d.delta if isinstance(d, DeltaRecord) else int(d) for d in deltas]
+def _encode(ids: dict, values: np.ndarray, oov: int) -> np.ndarray:
+    get = ids.get
+    return np.array([get(v, oov) for v in np.asarray(values).tolist()], dtype=np.int64)
 
 
 def _ranked(counts: Counter) -> list[tuple[int, int]]:
@@ -101,15 +77,11 @@ class DeltaVocab:
     def oov_output(self) -> int:
         return self.n_output
 
-    def encode_input(self, deltas: Iterable) -> np.ndarray:
-        oov = self.oov_input
-        get = self._input_id.get
-        return np.array([get(d, oov) for d in delta_values(deltas)], dtype=np.int64)
+    def encode_input(self, deltas: np.ndarray) -> np.ndarray:
+        return _encode(self._input_id, deltas, self.oov_input)
 
-    def encode_output(self, deltas: Iterable) -> np.ndarray:
-        oov = self.oov_output
-        get = self._output_id.get
-        return np.array([get(d, oov) for d in delta_values(deltas)], dtype=np.int64)
+    def encode_output(self, deltas: np.ndarray) -> np.ndarray:
+        return _encode(self._output_id, deltas, self.oov_output)
 
     def output_deltas(self) -> list[int]:
         """Lookup list from output class ID to delta."""
@@ -123,13 +95,12 @@ class DeltaVocab:
 
 
 def build_vocab(
-    deltas: Iterable, max_output: int = 50_000, min_input_count: int = 10
+    deltas: np.ndarray, max_output: int = 50_000, min_input_count: int = 10
 ) -> DeltaVocab:
     """Build input/output vocabularies from a delta stream."""
-    values = delta_values(deltas)
-    if not values:
+    if len(deltas) == 0:
         raise DataError("cannot build a vocabulary from an empty delta stream")
-    return DeltaVocab(Counter(values), max_output, min_input_count)
+    return DeltaVocab(Counter(np.asarray(deltas).tolist()), max_output, min_input_count)
 
 
 class PcVocab:
@@ -137,8 +108,7 @@ class PcVocab:
 
     def __init__(self, counts: Counter):
         self.counts = Counter(counts)
-        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        self._id = {pc: i for i, (pc, _) in enumerate(ranked)}
+        self._id = {pc: i for i, (pc, _) in enumerate(_ranked(self.counts))}
 
     @property
     def n_pcs(self) -> int:
@@ -148,18 +118,15 @@ class PcVocab:
     def oov(self) -> int:
         return self.n_pcs
 
-    def encode(self, pcs: Iterable[int]) -> np.ndarray:
-        get = self._id.get
-        oov = self.oov
-        return np.array([get(pc, oov) for pc in pcs], dtype=np.int64)
+    def encode(self, pcs: np.ndarray) -> np.ndarray:
+        return _encode(self._id, pcs, self.oov)
 
 
-def build_pc_vocab(records: Iterable) -> PcVocab:
-    """PC vocabulary over MissRecords/DeltaRecords (or raw PC values)."""
-    pcs = [r.pc if hasattr(r, "pc") else int(r) for r in records]
-    if not pcs:
+def build_pc_vocab(pcs: np.ndarray) -> PcVocab:
+    """PC vocabulary over an array of PC values."""
+    if len(pcs) == 0:
         raise DataError("cannot build a PC vocabulary from an empty stream")
-    return PcVocab(Counter(pcs))
+    return PcVocab(Counter(np.asarray(pcs).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +158,17 @@ def mass_prefix_length(counts: Counter, fraction: float = 0.5) -> int:
     return len(counts)
 
 
-def coverage_stats(
-    misses: Sequence[MissRecord], deltas: Iterable
-) -> CoverageStats:
+def coverage_stats(misses: MissStream, deltas: np.ndarray) -> CoverageStats:
     """Table-style dataset statistics (addresses counted at line granularity)."""
-    if not misses:
+    if len(misses) == 0:
         raise DataError("empty miss stream")
-    values = delta_values(deltas)
-    if not values:
+    if len(deltas) == 0:
         raise DataError("empty delta stream")
-    addr_counts = Counter(m.line_addr for m in misses)
-    delta_counts = Counter(values)
+    addr_counts = Counter(misses.line.tolist())
+    delta_counts = Counter(np.asarray(deltas).tolist())
     return CoverageStats(
         num_misses=len(misses),
-        num_unique_pcs=len({m.pc for m in misses}),
+        num_unique_pcs=len(np.unique(misses.pc)),
         num_unique_addrs=len(addr_counts),
         num_unique_deltas=len(delta_counts),
         addrs_for_50pct_mass=mass_prefix_length(addr_counts),
@@ -261,18 +225,3 @@ def load_vocab(path) -> DeltaVocab:
         raise TraceFormatError(f"{path}: stored class ids do not match counts")
     return vocab
 
-
-def vocab_to_csv(vocab: DeltaVocab, path) -> None:
-    """Inspection export: delta, count, input/output class IDs (-1 = none)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["delta", "count", "input_class_id", "output_class_id"])
-        for delta, count in _ranked(vocab.counts):
-            w.writerow(
-                [
-                    delta,
-                    count,
-                    vocab._input_id.get(delta, -1),
-                    vocab._output_id.get(delta, -1),
-                ]
-            )

@@ -171,11 +171,10 @@ def test_03_cache_simulator_oracle():
         )
         misses, stats = cachesim.simulate(records, cfg)
         expect = oracle_misses(records, sets, ways, 64)
-        got = [m.line_addr for m in misses]
+        got = misses.line.tolist()
         assert got == [line for _, line in expect], (
             f"sets={sets} ways={ways}: miss streams differ"
         )
-        assert [m.timestep for m in misses] == list(range(len(misses)))
         for lvl in stats.levels:
             assert lvl.accesses == lvl.hits + lvl.misses
         assert stats.levels[0].misses == len(expect)
@@ -258,9 +257,9 @@ TABLE_SPEC = trace.PcCorrelatedSpec(
 def table_data():
     misses = misses_for(TABLE_SPEC)
     n_train = split_index(len(misses), 0.7)
-    deltas = vocab_mod.compute_deltas(misses[:n_train])
+    deltas = vocab_mod.compute_deltas(misses.line[:n_train])
     v = vocab_mod.build_vocab(deltas, max_output=50_000, min_input_count=10)
-    pv = vocab_mod.build_pc_vocab(misses[:n_train])
+    pv = vocab_mod.build_pc_vocab(misses.pc[:n_train])
     dataset = models.embedding_dataset(misses, v, pv)
     mask = dataset["target_index"] < n_train
     train = {key: a[mask] for key, a in dataset.items()}
@@ -374,10 +373,10 @@ def test_07_clustering_recall_advantage():
     n_train = split_index(len(misses), 0.7)
 
     # embedding model with the output vocab capped below the 24-delta union
-    dv = vocab_mod.compute_deltas(misses[:n_train])
+    dv = vocab_mod.compute_deltas(misses.line[:n_train])
     v = vocab_mod.build_vocab(dv, max_output=12, min_input_count=10)
     assert v.n_output < 24
-    pv = vocab_mod.build_pc_vocab(misses[:n_train])
+    pv = vocab_mod.build_pc_vocab(misses.pc[:n_train])
     emb = models.EmbeddingPrefetcher(
         n_delta_inputs=v.n_input, n_pcs=pv.n_pcs, n_outputs=v.n_output,
         hidden=64, embed=32, layers=2, modality="both", dtype=np.float32, seed=5,
@@ -389,7 +388,7 @@ def test_07_clustering_recall_advantage():
     emb_recall = recall_at_k(models.embedding_prediction_sets(emb, ds, v, n_train, 10))
 
     # clustering model: k-means regions, per-cluster vocabs, tied weights
-    km = clustering.kmeans_fit([m.line_addr for m in misses[:n_train]], k=3, seed=5)
+    km = clustering.kmeans_fit(misses.line[:n_train], k=3, seed=5)
     stream = clustering.partition_stream(misses, km, train_len=n_train)
     vocabs = models.build_cluster_vocabs(
         misses, stream.assignments, n_train, min_input_count=1
@@ -425,8 +424,8 @@ def test_09_vocabulary_statistics():
     for d in list(range(1, 11)) * 40:
         line += d
         lines.append(line)
-    misses = [trace.MissRecord(t, 0x400, l * 64, l) for t, l in enumerate(lines)]
-    stats = vocab_mod.coverage_stats(misses, vocab_mod.compute_deltas(misses))
+    misses = trace.MissStream.from_pairs(np.array([(0x400, l * 64) for l in lines]), 64)
+    stats = vocab_mod.coverage_stats(misses, vocab_mod.compute_deltas(misses.line))
     uniform_ok = stats.deltas_for_50pct_mass == 5 and stats.num_unique_deltas == 10
 
     # 50/50 point mass on two deltas: a single delta reaches half the mass
@@ -435,8 +434,8 @@ def test_09_vocabulary_statistics():
     for d in [3, 7] * 100:
         line += d
         lines.append(line)
-    misses = [trace.MissRecord(t, 0x400, l * 64, l) for t, l in enumerate(lines)]
-    stats = vocab_mod.coverage_stats(misses, vocab_mod.compute_deltas(misses))
+    misses = trace.MissStream.from_pairs(np.array([(0x400, l * 64) for l in lines]), 64)
+    stats = vocab_mod.coverage_stats(misses, vocab_mod.compute_deltas(misses.line))
     point_ok = stats.deltas_for_50pct_mass == 1 and stats.num_unique_deltas == 2
 
     report(

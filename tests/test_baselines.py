@@ -1,16 +1,19 @@
 import random
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from prefetchlab.baselines import GhbPcDc, StreamPrefetcher, baseline_prediction_sets
 from prefetchlab.errors import ConfigError
-from prefetchlab.trace import MissRecord
+from prefetchlab.eval import PredictionSet
+from prefetchlab.trace import MissStream, signed_delta
 
 
 def misses_from_lines(lines, pcs=None):
-    pcs = pcs or [0x400000] * len(lines)
-    return [MissRecord(t, pcs[t], lines[t] * 64, lines[t]) for t in range(len(lines))]
+    lines = np.array(lines, dtype=np.uint64)
+    pcs = np.array(pcs or [0x400000] * len(lines), dtype=np.uint64)
+    return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +330,25 @@ def test_baseline_prediction_sets_shapes():
     assert sets[0].predicted == ()
     assert sets[1].predicted == ()
     assert all(1 in s.predicted for s in sets[2:])
+    # a descending run confirms a negative stride: line differences are
+    # taken on Python ints, not on wrapping uint64 scalars
+    sets = baseline_prediction_sets(StreamPrefetcher(), misses_from_lines(range(150, 100, -1)))
+    assert all(s.true_delta == -1 for s in sets)
+    assert all(s.predicted == tuple(range(-1, -11, -1)) for s in sets[2:])
 
 
 def test_baseline_prediction_sets_from_start():
     rng = random.Random(8)
-    misses = [MissRecord(t, pc, line * 64, line)
-              for t, (pc, line) in enumerate(random_miss_stream(rng, 400, 5))]
+    pcs, lines = zip(*random_miss_stream(rng, 400, 5))
+    misses = misses_from_lines(list(lines), list(pcs))
     full = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses)
+    # the driver equals feeding the prefetcher one Python-int miss at a time
+    ref, expected = GhbPcDc(buffer_size=32), []
+    for t, (pc, line) in enumerate(zip(pcs, lines)):
+        preds = ref.observe(pc, line)
+        if t + 1 < len(lines):
+            expected.append(PredictionSet(t, preds[:10], signed_delta(line, lines[t + 1])))
+    assert full == expected
     for start in (0, 1, 150, 399, 400):
         sets = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses, start=start)
         assert sets == full[max(start - 1, 0):]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from prefetchlab.cachesim import (
@@ -8,6 +9,7 @@ from prefetchlab.cachesim import (
     default_broadwell_config,
     simulate,
 )
+from prefetchlab.cli import hierarchy_from_config
 from prefetchlab.errors import ConfigError, DataError
 from prefetchlab.trace import StrideSpec, TraceRecord, generate_synthetic
 
@@ -51,11 +53,11 @@ def test_single_level_matches_lru_oracle():
         oracle = LruStackOracle(cfg.capacity, ways, line)
         expected = [t for t, rec in enumerate(trace) if not oracle.access(rec.addr)]
         misses, stats = simulate(trace, hier)
-        assert [m.timestep for m in misses] == list(range(len(misses)))
         assert len(misses) == len(expected)
-        for m, t in zip(misses, expected):
-            assert (m.pc, m.addr) == (trace[t].pc, trace[t].addr)
-            assert m.line_addr == trace[t].addr >> (line.bit_length() - 1)
+        assert misses.pc.tolist() == [trace[t].pc for t in expected]
+        assert misses.addr.tolist() == [trace[t].addr for t in expected]
+        assert misses.line.tolist() == [trace[t].addr // line for t in expected]
+        assert all(col.dtype == np.uint64 for col in (misses.pc, misses.addr, misses.line))
         assert stats.levels[0].accesses == len(trace)
         assert stats.levels[0].hits + stats.levels[0].misses == len(trace)
         assert stats.levels[0].misses == len(expected)
@@ -136,8 +138,25 @@ def test_level_config_validation():
         CacheLevelConfig(capacity=1024, associativity=1, line_size=48)  # not pow2
     with pytest.raises(ConfigError):
         CacheLevelConfig(capacity=1024, associativity=0)
-    with pytest.raises(ConfigError):
-        CacheLevelConfig(capacity=1024, associativity=2, replacement="FIFO")
+    for cache, names in [
+        ("skylake", ("skylake",)),
+        ({"levels": [{"capacity": 1024, "associativity": 2, "ways": 4}]}, ("'ways'",)),
+        ({"miss_emit_level": 0}, ("levels",)),
+        ({"levels": [{"capacity": "x", "associativity": 2}]}, ("'capacity': 'x'",)),
+        ({"levels": [{"capacity": 1024}]}, ("'associativity'",)),
+        ({"levels": [], "miss_emit_level": 0}, ("at least one level",)),
+        ({"levels": [{"capacity": 1024, "associativity": 2}], "emit": 0}, ("'emit'",)),
+        ({"levels": [{"capacity": 1024, "associativity": 2}], "miss_emit_level": "x"},
+         ("'miss_emit_level': 'x'",)),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            hierarchy_from_config({"cache": cache})
+        assert all(name in str(err.value) for name in names), (cache, err.value)
+    levels = [{"capacity": 1024, "associativity": 2}, {"capacity": 4096, "associativity": 4}]
+    hier = hierarchy_from_config({"cache": {"levels": levels, "miss_emit_level": 0}})
+    assert hier == HierarchyConfig(
+        levels=(CacheLevelConfig(1024, 2), CacheLevelConfig(4096, 4)), miss_emit_level=0
+    )
 
 
 def test_hierarchy_validation():
@@ -154,4 +173,6 @@ def test_simulate_deterministic():
     trace = generate_synthetic(StrideSpec(length=2000, stride=128))
     a = simulate(trace, default_broadwell_config())
     b = simulate(trace, default_broadwell_config())
-    assert a[0] == b[0]
+    for column in ("pc", "addr", "line"):
+        assert np.array_equal(getattr(a[0], column), getattr(b[0], column))
+    assert a[1] == b[1]

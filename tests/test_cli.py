@@ -78,10 +78,21 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("train: {steps: x}\n", ("train.steps",)),
         ("train: {batch: '16'}\n", ("train.batch",)),
         ("train: {window: 0}\n", ("train.window",)),
+        ("train: {clip: x}\n", ("train.clip",)),
+        ("train: {lr: x}\n", ("train.lr",)),
+        ("vocab: {max_output: x}\n", ("vocab.max_output",)),
+        ("vocab: {min_input_count: 1.5}\n", ("vocab.min_input_count",)),
+        ("cluster: {k: x}\n", ("cluster.k",)),
+        ("cluster: {max_iters: x}\n", ("cluster.max_iters",)),
+        ("cluster: {min_input_count: 0}\n", ("cluster.min_input_count",)),
+        ("seed: x\n", ("seed",)),
+        ("seed: true\n", ("seed",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
-         "dtype_null", "steps_string", "batch_string", "window_zero"],
+         "dtype_null", "steps_string", "batch_string", "window_zero", "clip_string",
+         "lr_string", "max_output_string", "min_input_count_float", "cluster_k_string",
+         "max_iters_string", "cluster_min_input_count_zero", "seed_string", "seed_bool"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"
@@ -158,7 +169,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_runtime_errors_exit_1(tmp_path):
+def test_runtime_errors_exit_1(tmp_path, capsys):
     out = tmp_path / "run"
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing, "--out", str(out)]) == 1
@@ -171,6 +182,13 @@ def test_runtime_errors_exit_1(tmp_path):
     bad["trace"] = {"kind": "mystery", "length": 10}
     bad_path = write_cfg(tmp_path, bad, "bad.yaml")
     assert run("simulate", bad_path, out) == 1
+
+    for cache, name in [("skylake", "skylake"), ({"miss_emit_level": 0}, "levels"),
+                        ({"levels": [{"capacity": 1024, "associativity": 2, "ways": 4}]}, "ways")]:
+        capsys.readouterr()
+        assert run("simulate", write_cfg(tmp_path, dict(STRIDE_CFG, cache=cache)), out) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
 
 
 @pytest.mark.parametrize(

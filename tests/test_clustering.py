@@ -6,7 +6,6 @@ import pytest
 
 from prefetchlab.clustering import (
     ClusterModel,
-    assignments_to_csv,
     cluster_deltas,
     kmeans_fit,
     load_cluster_model,
@@ -15,12 +14,13 @@ from prefetchlab.clustering import (
     save_cluster_model,
 )
 from prefetchlab.errors import ConfigError, DataError, TraceFormatError
-from prefetchlab.trace import MissRecord, signed_delta
+from prefetchlab.trace import MissStream, signed_delta
 
 
 def misses_from_lines(lines, pcs=None):
-    pcs = pcs or [0x400000] * len(lines)
-    return [MissRecord(t, pcs[t], lines[t] * 64, lines[t]) for t in range(len(lines))]
+    lines = np.array(lines, dtype=np.uint64)
+    pcs = np.array(pcs or [0x400000] * len(lines), dtype=np.uint64)
+    return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
 
 
 def blob_addresses(rng, centers, per_blob=200, spread=50):
@@ -107,11 +107,13 @@ def test_partition_stream_per_cluster_deltas():
     model = ClusterModel(k=2, centroids=np.array([102.0, 5004.0]), n_iters=1, inertia=0.0)
     stream = partition_stream(misses, model)
     assert stream.assignments.tolist() == [0, 1, 0, 1, 0, 1]
-    assert [r.delta for r in stream.sub_streams[0]] == [2, 3]
-    assert [r.delta for r in stream.sub_streams[1]] == [3, 6]
-    # records carry the source miss's global timestep
-    assert [r.timestep for r in stream.sub_streams[0]] == [0, 2]
-    assert [r.timestep for r in stream.sub_streams[1]] == [1, 3]
+    (idx0, d0), (idx1, d1) = cluster_deltas(misses.line, stream.assignments, 2)
+    assert d0.tolist() == [2, 3]
+    assert d1.tolist() == [3, 6]
+    # deltas are indexed by the global miss numbers they run between
+    assert idx0.tolist() == [0, 2, 4]
+    assert idx1.tolist() == [1, 3, 5]
+    assert stream.norm_params.tolist() == [[2.5, 0.5], [4.5, 1.5]]
 
 
 def test_partition_stream_merge_reproduces_assignment_order():
@@ -119,21 +121,22 @@ def test_partition_stream_merge_reproduces_assignment_order():
     lines = [rng.choice([100, 101, 102, 90_000, 90_001]) for _ in range(500)]
     # force line changes so deltas exist
     misses = misses_from_lines(lines)
-    model = kmeans_fit([m.line_addr for m in misses], k=2, seed=0)
+    model = kmeans_fit(misses.line, k=2, seed=0)
     stream = partition_stream(misses, model)
-    merged = stream.merged_timesteps()
-    # each cluster's last miss emits no record; all others appear once, in order
+    assert stream.assignments.tolist() == model.assign(lines).tolist()
+    per_cluster = cluster_deltas(misses.line, stream.assignments, 2)
+    merged = sorted((i, c) for c, (idx, _) in enumerate(per_cluster) for i in idx[:-1].tolist())
+    # each cluster's last miss starts no delta; all others start one, in order
     expected = []
     last = {}
-    for i, m in enumerate(misses):
-        last[int(stream.assignments[i])] = i
-    for i, m in enumerate(misses):
-        c = int(stream.assignments[i])
+    for i, c in enumerate(stream.assignments.tolist()):
+        last[c] = i
+    for i, c in enumerate(stream.assignments.tolist()):
         if i != last[c]:
-            expected.append((m.timestep, c))
+            expected.append((i, c))
     assert merged == expected
     n_nonempty = len(set(stream.assignments.tolist()))
-    assert sum(len(s) for s in stream.sub_streams) == len(misses) - n_nonempty
+    assert sum(len(d) for _, d in per_cluster) == len(misses) - n_nonempty
 
 
 def test_cluster_deltas_match_signed_delta():
@@ -144,8 +147,7 @@ def test_cluster_deltas_match_signed_delta():
     lines[:3] = [2**64 - 1, 0, 2**63]
     assignments = rng.integers(0, 3, size=300)  # clusters 0..2 of k=5
     assignments[17] = 3  # cluster 3 has a single miss, cluster 4 none
-    misses = misses_from_lines(lines)
-    per_cluster = cluster_deltas(misses, assignments, k)
+    per_cluster = cluster_deltas(np.array(lines, dtype=np.uint64), assignments, k)
     assert len(per_cluster) == k
     n_negative = 0
     for c, (idx, deltas) in enumerate(per_cluster):
@@ -182,7 +184,7 @@ def test_empty_cluster_gets_default_norm():
     model = ClusterModel(k=2, centroids=np.array([0.0, 10_000.0]), n_iters=1, inertia=0.0)
     stream = partition_stream(misses, model)
     assert stream.norm_params[1].tolist() == [0.0, 1.0]
-    assert stream.sub_streams[1] == []
+    assert stream.assignments.tolist() == [0, 0, 0]
 
 
 def test_normalize_matches_single_pass_oracle():
@@ -236,14 +238,3 @@ def test_cluster_model_bad_magic(tmp_path):
     with pytest.raises(TraceFormatError):
         load_cluster_model(path)
 
-
-def test_assignments_csv(tmp_path):
-    misses = misses_from_lines([10, 5000, 11])
-    model = ClusterModel(k=2, centroids=np.array([10.0, 5000.0]), n_iters=1, inertia=0.0)
-    path = tmp_path / "a.csv"
-    assignments_to_csv(misses, model, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "timestep,addr,cluster_id"
-    assert rows[1] == f"0,{10 * 64},0"
-    assert rows[2] == f"1,{5000 * 64},1"
-    assert rows[3] == f"2,{11 * 64},0"

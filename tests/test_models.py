@@ -20,13 +20,14 @@ from prefetchlab.models import (
     save_model,
     train_model,
 )
-from prefetchlab.trace import MissRecord
+from prefetchlab.trace import MissStream
 from prefetchlab.vocab import build_pc_vocab, build_vocab, compute_deltas
 
 
 def misses_from_lines(lines, pcs=None):
-    pcs = pcs or [0x400000] * len(lines)
-    return [MissRecord(t, pcs[t], lines[t] * 64, lines[t]) for t in range(len(lines))]
+    lines = np.array(lines, dtype=np.uint64)
+    pcs = np.array([0x400000] * len(lines) if pcs is None else pcs, dtype=np.uint64)
+    return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
 
 
 def tiny_embedding_model(seed=0, modality="both", dtype=np.float64):
@@ -231,9 +232,9 @@ def test_embedding_dataset_construction():
     lines = [100, 101, 103, 104, 110]
     pcs = [0xA, 0xB, 0xA, 0xB, 0xA]
     misses = misses_from_lines(lines, pcs)
-    deltas = compute_deltas(misses)  # 1, 2, 1, 6
+    deltas = compute_deltas(misses.line)  # 1, 2, 1, 6
     vocab = build_vocab(deltas, max_output=2, min_input_count=1)
-    pc_vocab = build_pc_vocab(misses)
+    pc_vocab = build_pc_vocab(misses.pc)
     ds = embedding_dataset(misses, vocab, pc_vocab)
 
     assert len(ds["label"]) == 4
@@ -393,8 +394,8 @@ def test_train_adagrad_path_runs():
 def test_embedding_prediction_sets_cover_test_region():
     lines = list(range(100, 200))  # constant delta 1
     misses = misses_from_lines(lines)
-    vocab = build_vocab(compute_deltas(misses), max_output=5, min_input_count=1)
-    pc_vocab = build_pc_vocab(misses)
+    vocab = build_vocab(compute_deltas(misses.line), max_output=5, min_input_count=1)
+    pc_vocab = build_pc_vocab(misses.pc)
     model = EmbeddingPrefetcher(
         n_delta_inputs=vocab.n_input,
         n_pcs=pc_vocab.n_pcs,
@@ -469,7 +470,7 @@ def test_prediction_sets_equal_per_event_decoding():
     lines = np.cumsum(rng.choice([1, 2, 5, -3, 40], size=300)) + 10_000
     # cluster 2 gets a single training miss and so no vocabulary
     assignments = np.array([0, 1] * 140 + [2] + [0, 1] * 9 + [2])
-    misses = misses_from_lines(lines.tolist(), pcs=[int(p) for p in rng.integers(0, 4, 300)])
+    misses = misses_from_lines(lines, pcs=rng.integers(0, 4, 300))
     vocabs = build_cluster_vocabs(misses, assignments, train_len=281, min_input_count=1)
     assert vocabs[2] is None
     model = ClusterPrefetcher(
@@ -481,8 +482,8 @@ def test_prediction_sets_equal_per_event_decoding():
         got = cluster_prediction_sets(model, ds, vocabs, test_start, k, window)
         assert got == per_event_prediction_sets(model, ds, vocabs, test_start, k, window)
 
-    vocab = build_vocab(compute_deltas(misses[:210]), max_output=3, min_input_count=2)
-    pc_vocab = build_pc_vocab(misses[:210])
+    vocab = build_vocab(compute_deltas(misses.line[:210]), max_output=3, min_input_count=2)
+    pc_vocab = build_pc_vocab(misses.pc[:210])
     model = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output,
                                 hidden=6, embed=3, layers=2, seed=5)
     ds = embedding_dataset(misses, vocab, pc_vocab)

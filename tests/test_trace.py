@@ -1,11 +1,13 @@
 import random
+import struct
 
+import numpy as np
 import pytest
 
-from prefetchlab.errors import ConfigError, TraceFormatError, TraceParseError
+from prefetchlab.errors import ConfigError, TraceFormatError
 from prefetchlab.trace import (
     LinkedListSpec,
-    MissRecord,
+    MissStream,
     MultiStrideSpec,
     PcCorrelatedSpec,
     RegionHoppingSpec,
@@ -59,30 +61,37 @@ def test_signed_delta_random_consistency():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt", ["binary", "text"])
-def test_trace_roundtrip(tmp_path, fmt):
+def reference_bytes(pairs):
+    return b"PFTRACE1" + b"".join(struct.pack("<QQ", pc, addr) for pc, addr in pairs)
+
+
+def test_trace_roundtrip(tmp_path):
     rng = random.Random(0)
     for trial in range(20):
         records = random_records(rng, rng.randrange(0, 200))
-        path = tmp_path / f"t{trial}.{fmt}"
-        write_trace(records, path, fmt=fmt)
-        assert list(read_trace(path, fmt=fmt)) == records
+        if trial == 1:
+            records = [TraceRecord(MASK64, 0), TraceRecord(0, MASK64), TraceRecord(1 << 63, 1)]
+        path = tmp_path / f"t{trial}.bin"
+        write_trace(records, path)
+        assert path.read_bytes() == reference_bytes(records)
+        assert read_trace(path) == records
 
 
 def test_trace_roundtrip_large_binary(tmp_path):
-    # spans multiple read chunks
     rng = random.Random(1)
     records = random_records(rng, 10_000)
     path = tmp_path / "big.bin"
     write_trace(records, path)
-    assert list(read_trace(path)) == records
+    assert read_trace(path) == records
 
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTATRCE" + b"\x00" * 32)
     with pytest.raises(TraceFormatError):
-        list(read_trace(path))
+        read_trace(path)
+    with pytest.raises(TraceFormatError, match="bad magic"):
+        read_miss_trace(path)
 
 
 def test_binary_truncated_record(tmp_path):
@@ -90,47 +99,31 @@ def test_binary_truncated_record(tmp_path):
     path = tmp_path / "trunc.bin"
     write_trace(records, path)
     data = path.read_bytes()
-    path.write_bytes(data[:-5])
-    with pytest.raises(TraceParseError):
-        list(read_trace(path))
-
-
-def test_text_parse_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0x1,0x2\nnot-a-record\n")
-    with pytest.raises(TraceParseError) as err:
-        list(read_trace(path, fmt="text"))
-    assert "line 2" in str(err.value)
-
-    path.write_text("0xzz,0x2\n")
-    with pytest.raises(TraceParseError):
-        list(read_trace(path, fmt="text"))
-
-    path.write_text("0x1ffffffffffffffff,0x2\n")
-    with pytest.raises(TraceParseError):
-        list(read_trace(path, fmt="text"))
-
-
-def test_text_comments_and_blanks(tmp_path):
-    path = tmp_path / "ok.txt"
-    path.write_text("# header\n\n0xa,0x40  # trailing comment\n")
-    assert list(read_trace(path, fmt="text")) == [TraceRecord(0xA, 0x40)]
-
-
-def test_unknown_format():
-    with pytest.raises(ConfigError):
-        write_trace([], "x", fmt="csv")
-    with pytest.raises(ConfigError):
-        read_trace("x", fmt="csv")
+    # a partial third record of every length, and a cut inside the second
+    for cut in [data + bytes(range(r)) for r in range(1, 16)] + [data[:-5]]:
+        path.write_bytes(cut)
+        message = f"truncated record at byte offset {8 + 16 * ((len(cut) - 8) // 16)}$"
+        for read in (read_trace, read_miss_trace):
+            with pytest.raises(TraceFormatError, match=message):
+                read(path)
 
 
 def test_miss_trace_roundtrip(tmp_path):
-    records = generate_synthetic(StrideSpec(length=50, stride=64, start=0x1000))
-    misses = [MissRecord(t, r.pc, r.addr, r.addr >> 6) for t, r in enumerate(records)]
-    path = tmp_path / "miss.bin"
-    write_miss_trace(misses, path)
-    loaded = read_miss_trace(path)
-    assert loaded == misses
+    rng = random.Random(2)
+    for trial, n in enumerate((0, 1, 50, 333)):
+        pairs = np.array(random_records(rng, n), dtype=np.uint64).reshape(-1, 2)
+        if n:
+            pairs[0] = (MASK64, MASK64)
+        misses = MissStream.from_pairs(pairs, line_size=64)
+        path = tmp_path / f"miss{trial}.bin"
+        write_miss_trace(misses, path)
+        assert path.read_bytes() == reference_bytes(pairs.tolist())
+        loaded = read_miss_trace(path, line_size=64)
+        assert len(loaded) == n
+        for column in ("pc", "addr", "line"):
+            assert getattr(loaded, column).dtype == np.uint64
+            assert np.array_equal(getattr(loaded, column), getattr(misses, column))
+        assert loaded.line.tolist() == [addr >> 6 for _, addr in pairs.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from prefetchlab.errors import DataError, TraceFormatError
-from prefetchlab.trace import MissRecord
+from prefetchlab.trace import MissStream, signed_delta
 from prefetchlab.vocab import (
-    DeltaRecord,
     DeltaVocab,
     build_pc_vocab,
     build_vocab,
@@ -16,13 +15,13 @@ from prefetchlab.vocab import (
     load_vocab,
     mass_prefix_length,
     save_vocab,
-    vocab_to_csv,
 )
 
 
 def misses_from_lines(lines, pcs=None):
-    pcs = pcs or [0x400000] * len(lines)
-    return [MissRecord(t, pcs[t], lines[t] * 64, lines[t]) for t in range(len(lines))]
+    lines = np.array(lines, dtype=np.uint64)
+    pcs = np.array(pcs or [0x400000] * len(lines), dtype=np.uint64)
+    return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -32,17 +31,24 @@ def misses_from_lines(lines, pcs=None):
 
 def test_compute_deltas_pairs_pc_with_outgoing_delta():
     misses = misses_from_lines([100, 101, 99, 150], pcs=[1, 2, 3, 4])
-    deltas = compute_deltas(misses)
-    assert len(deltas) == 3
-    assert (deltas[0].pc, deltas[0].delta) == (1, 1)
-    assert (deltas[1].pc, deltas[1].delta) == (2, -2)
-    assert (deltas[2].pc, deltas[2].delta) == (3, 51)
-    assert [d.timestep for d in deltas] == [0, 1, 2]
+    deltas = compute_deltas(misses.line)
+    assert deltas.dtype == np.int64
+    # element t is the delta out of miss t, whose PC is misses.pc[t]
+    assert deltas.tolist() == [1, -2, 51]
+
+    # random 64-bit lines wrap both ways; the scalar oracle decides
+    rng = np.random.default_rng(4)
+    lines = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+    lines[:4] = [2**64 - 1, 0, 2**63, 2**63 - 1]
+    expected = [signed_delta(a, b) for a, b in zip(lines.tolist(), lines[1:].tolist())]
+    assert compute_deltas(lines).tolist() == expected
+    assert expected[:3] == [1, -(2**63), -1]
 
 
 def test_compute_deltas_too_short():
-    with pytest.raises(DataError):
-        compute_deltas(misses_from_lines([1]))
+    for lines in ([1], []):
+        with pytest.raises(DataError):
+            compute_deltas(misses_from_lines(lines).line)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +95,11 @@ def test_encode_decode_roundtrip():
     v = build_vocab(deltas, max_output=6, min_input_count=1)
     ids = v.encode_output(deltas[:100])
     assert [v.output_deltas()[i] for i in ids] == deltas[:100]
-
-
-def test_encode_accepts_records_and_ints():
-    v = build_vocab([4, 4, 4], max_output=5, min_input_count=1)
-    recs = [DeltaRecord(0, 0x1, 4)]
-    assert v.encode_input(recs).tolist() == v.encode_input([4]).tolist()
+    # an int64 delta array encodes like the list, and builds the same vocab
+    array = np.array(deltas, dtype=np.int64)
+    assert np.array_equal(v.encode_output(array[:100]), ids)
+    assert np.array_equal(v.encode_input(array), v.encode_input(deltas))
+    assert build_vocab(array, max_output=6, min_input_count=1).counts == v.counts
 
 
 def test_empty_vocab_rejected():
@@ -110,11 +115,12 @@ def test_output_coverage_fraction():
 
 
 def test_pc_vocab():
-    v = build_pc_vocab(misses_from_lines([1, 2, 3], pcs=[0xA, 0xB, 0xA]))
+    v = build_pc_vocab(misses_from_lines([1, 2, 3], pcs=[0xA, 0xB, 0xA]).pc)
     assert v.n_pcs == 2
     assert v.encode([0xA, 0xB, 0xC]).tolist() == [0, 1, v.oov]
+    assert v.encode(np.array([0xC, 0xA], dtype=np.uint64)).tolist() == [v.oov, 0]
     with pytest.raises(DataError):
-        build_pc_vocab([])
+        build_pc_vocab(np.array([], dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def test_mass_prefix_skewed():
 def test_coverage_stats_small_example():
     lines = [10, 11, 10, 11, 20]
     misses = misses_from_lines(lines, pcs=[1, 1, 2, 2, 2])
-    stats = coverage_stats(misses, compute_deltas(misses))
+    stats = coverage_stats(misses, compute_deltas(misses.line))
     assert stats.num_misses == 5
     assert stats.num_unique_pcs == 2
     assert stats.num_unique_addrs == 3
@@ -152,12 +158,30 @@ def test_coverage_stats_small_example():
     assert stats.deltas_for_50pct_mass == 1
     assert stats.addrs_for_50pct_mass == 2  # 10 and 11 carry 2/5 each
 
+    # random streams against Counters of the plain Python values
+    rng = random.Random(12)
+    for _ in range(20):
+        n = rng.randrange(2, 300)
+        lines = [rng.choice([rng.randrange(1 << 58), 7, 8, 9]) for _ in range(n)]
+        pcs = [rng.randrange(5) for _ in range(n)]
+        misses = misses_from_lines(lines, pcs)
+        stats = coverage_stats(misses, compute_deltas(misses.line))
+        line_counts = Counter(lines)
+        delta_counts = Counter(signed_delta(a, b) for a, b in zip(lines, lines[1:]))
+        assert stats.num_misses == n
+        assert stats.num_unique_pcs == len(set(pcs))
+        assert stats.num_unique_addrs == len(line_counts)
+        assert stats.num_unique_deltas == len(delta_counts)
+        assert stats.addrs_for_50pct_mass == mass_prefix_length(line_counts)
+        assert stats.deltas_for_50pct_mass == mass_prefix_length(delta_counts)
+        assert all(isinstance(x, int) for x in stats.__dict__.values())
+
 
 def test_coverage_stats_empty_inputs():
     with pytest.raises(DataError):
-        coverage_stats([], [1])
+        coverage_stats(misses_from_lines([]), np.array([1]))
     with pytest.raises(DataError):
-        coverage_stats(misses_from_lines([1, 2]), [])
+        coverage_stats(misses_from_lines([1, 2]), np.array([], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +208,6 @@ def test_vocab_file_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
     with pytest.raises(TraceFormatError):
         load_vocab(path)
-
-
-def test_vocab_csv_export(tmp_path):
-    v = build_vocab([1, 1, 1, 2, 2, 9], max_output=1, min_input_count=2)
-    path = tmp_path / "v.csv"
-    vocab_to_csv(v, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "delta,count,input_class_id,output_class_id"
-    assert rows[1] == "1,3,0,0"
-    assert rows[2] == "2,2,1,-1"
-    assert rows[3] == "9,1,-1,-1"
 
 
 def test_save_vocab_deterministic_bytes(tmp_path):
