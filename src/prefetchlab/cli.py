@@ -83,8 +83,11 @@ def _positive_number(value) -> bool:
     return (_int(value) or isinstance(value, float)) and 0 < value < math.inf
 
 
+def _one_of(*choices):
+    return choices.__contains__, f"one of {', '.join(choices)}"
+
+
 _POSITIVE_INT = (_positive_int, "an integer >= 1")
-_FLOAT_DTYPES = ("float16", "float32", "float64")
 # key path -> (check, what the value must be); the trace: and cache: sections
 # are checked when their specs are built
 VALUE_CHECKS = {
@@ -97,13 +100,18 @@ VALUE_CHECKS = {
     ("model", "hidden"): _POSITIVE_INT,
     ("model", "embed"): _POSITIVE_INT,
     ("model", "layers"): _POSITIVE_INT,
-    ("model", "dtype"): (_FLOAT_DTYPES.__contains__, f"one of {', '.join(_FLOAT_DTYPES)}"),
+    ("model", "type"): _one_of("embedding", "cluster"),
+    ("model", "modality"): _one_of("both", "delta_only", "pc_only"),
+    ("model", "dtype"): _one_of("float16", "float32", "float64"),
     ("train", "steps"): _POSITIVE_INT,
     ("train", "batch"): _POSITIVE_INT,
     ("train", "window"): _POSITIVE_INT,
     ("train", "lr"): (lambda v: v is None or _positive_number(v), "null or a number > 0"),
     ("train", "clip"): (_positive_number, "a number > 0"),
+    ("train", "optimizer"): _one_of("adam", "adagrad"),
     ("eval", "k"): _POSITIVE_INT,
+    ("eval", "split"): (lambda v: _positive_number(v) and v < 1, "a number in (0, 1)"),
+    ("eval", "baselines"): (lambda v: isinstance(v, bool), "true or false"),
 }
 
 # libyaml's parser when PyYAML was built with it; both build the same dicts
@@ -266,21 +274,19 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int):
             layers=mcfg["layers"], modality=mcfg["modality"], dtype=dtype, seed=cfg["seed"],
         )
         return model, models.embedding_dataset(misses, v, pc_vocab), v
-    if mcfg["type"] == "cluster":
-        cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
-        if norms is None:
-            raise DataError("cluster model file lacks normalization params")
-        assignments = cmodel.assign(misses.line)
-        vocabs = models.build_cluster_vocabs(
-            misses, assignments, n_train, max_output=cfg["vocab"]["max_output"],
-            min_input_count=cfg["cluster"]["min_input_count"],
-        )
-        model = models.ClusterPrefetcher(
-            [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
-            layers=mcfg["layers"], dtype=dtype, seed=cfg["seed"],
-        )
-        return model, models.cluster_dataset(misses, assignments, vocabs, norms, model), vocabs
-    raise ConfigError(f"model.type must be embedding or cluster, got {mcfg['type']!r}")
+    cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
+    if norms is None:
+        raise DataError("cluster model file lacks normalization params")
+    assignments = cmodel.assign(misses.line)
+    vocabs = models.build_cluster_vocabs(
+        misses, assignments, n_train, max_output=cfg["vocab"]["max_output"],
+        min_input_count=cfg["cluster"]["min_input_count"],
+    )
+    model = models.ClusterPrefetcher(
+        [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
+        layers=mcfg["layers"], dtype=dtype, seed=cfg["seed"],
+    )
+    return model, models.cluster_dataset(misses, assignments, vocabs, norms, model), vocabs
 
 
 def _trained(cfg: dict, out_dir: str):
@@ -377,15 +383,6 @@ _STAGES = {
     "report": run_report,
     "export-embeddings": run_export_embeddings,
 }
-
-
-def run_pipeline(cfg: dict, out_dir: str, stages=("simulate", "vocab", "train", "eval", "report")):
-    """Convenience driver used by tests and demos."""
-    os.makedirs(out_dir, exist_ok=True)
-    results = {}
-    for stage in stages:
-        results[stage] = _STAGES[stage](cfg, out_dir)
-    return results
 
 
 def main(argv=None) -> int:

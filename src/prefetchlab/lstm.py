@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import TraceFormatError, read_exact
+from .errors import ConfigError, TraceFormatError, read_exact
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -50,57 +50,35 @@ def lstm_layer_init(
     return W, b
 
 
-def _cell_step(xh, c_prev, W, b, h=None):
-    """Gate math of one step from the joined (B, D+H) rows [x | h_prev].
+def _gates(z, b, c_prev):
+    """Gate math on pre-activations z = [x | h_prev] @ W.T of shape (..., 4H).
 
-    Writes h into `h` when given. Returns (h, c, cache).
+    Adds b to z in place. Returns the activations [i | f | g | o], c,
+    tanh(c) and h.
     """
-    H = c_prev.shape[1]
-    z = xh @ W.T
+    H = c_prev.shape[-1]
     z += b
-    # one sigmoid pass over all four gates, then tanh over the g slice;
-    # i, f, g, o are views of the one activation array
+    # one sigmoid pass over all four gates, then tanh over the g slice
     a = sigmoid(z)
-    np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-    i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+    np.tanh(z[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
+    i, f, g, o = _split(a)
     c = f * c_prev
     c += i * g
     tc = np.tanh(c)
-    h = np.multiply(o, tc, out=h)
-    return h, c, (xh, i, f, g, o, c_prev, tc)
+    return a, c, tc, o * tc
+
+
+def _split(a):
+    """Views [i, f, g, o] of the gate slices of (..., 4H) activations."""
+    H = a.shape[-1] // 4
+    return [a[..., k * H : (k + 1) * H] for k in range(4)]
 
 
 def lstm_cell_forward(x, h_prev, c_prev, W, b):
     """One step of one layer on a (B, D) batch. Returns (h, c, cache)."""
-    return _cell_step(np.concatenate([x, h_prev], axis=1), c_prev, W, b)
-
-
-def lstm_cell_backward(dh, dc_in, cache, W):
-    """Backward of one cell step; returns (dx, dh_prev, dc_prev, dW, db)."""
-    xh, i, f, g, o, c_prev, tc = cache
-    H = i.shape[1]
-    D = xh.shape[1] - H
-
-    do = dh * tc
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-
-    dz = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
-    dW = dz.T @ xh
-    db = dz.sum(axis=0)
-    dxh = dz @ W
-    return dxh[:, :D], dxh[:, D:], dc_prev, dW, db
+    xh = np.concatenate([x, h_prev], axis=1)
+    a, c, tc, h = _gates(xh @ W.T, b, c_prev)
+    return h, c, (xh, *_split(a), c_prev, tc)
 
 
 def zero_states(n_layers: int, batch: int, hidden: int, dtype=np.float64):
@@ -116,64 +94,99 @@ def lstm_forward(X, states, Ws, bs):
     `states` is a list of (h, c) per layer and is not mutated. Returns the
     top-layer outputs (T, B, H), the final states, and caches for backward.
 
-    Each layer works in one (T+1, B, D+H) buffer whose row t is the step's
-    [x_t | h_{t-1}] input: a step writes its h into the recurrent slot of
-    row t+1 and copies it into row t of the next layer's input slot. The
-    outputs and the cached inputs are views of these buffers; the final h
-    is a copy, so that carried state does not keep a finished window's
-    buffers alive.
+    The (time, layer) grid is walked by diagonals d = t + l, whose cells
+    do not depend on each other: after each layer's own `[x | h] @ W.T`,
+    their gate math runs once on (n, B, 4H) stacks. Each element sees the
+    operations of a step-by-step walk in the same order, so results are
+    bit-identical to it. All layers share one hidden size H. Layer l's
+    (T+1, B, D+H) buffer holds [x_t | h_{t-1}] in row t; the outputs are a
+    view of the top one, the final states are copies.
     """
     T, B, _ = X.shape
-    n_layers = len(Ws)
-    xhs, dims = [], []
-    for l in range(n_layers):
-        H = Ws[l].shape[0] // 4
-        D = Ws[l].shape[1] - H
-        xh = np.empty((T + 1, B, D + H), dtype=X.dtype)
-        xh[0, :, D:] = states[l][0]
-        xhs.append(xh)
-        dims.append(D)
+    L = len(Ws)
+    H = Ws[0].shape[0] // 4
+    if any(W.shape[0] != 4 * H for W in Ws):
+        raise ConfigError("all LSTM layers must share one hidden size")
+    dims = [W.shape[1] - H for W in Ws]
+    xhs = [np.empty((T + 1, B, D + H), dtype=X.dtype) for D in dims]
+    for xh, D, (h, _) in zip(xhs, dims, states):
+        xh[0, :, D:] = h
     xhs[0][:T, :, : dims[0]] = X
-    c = [s[1] for s in states]
-    caches = [[None] * n_layers for _ in range(T)]
-    for t in range(T):
-        for l in range(n_layers):
-            xh, D = xhs[l], dims[l]
-            h, c[l], caches[t][l] = _cell_step(xh[t], c[l], Ws[l], bs[l], xh[t + 1, :, D:])
-            if l + 1 < n_layers:
-                xhs[l + 1][t, :, : dims[l + 1]] = h
-    finals = [(xhs[l][T, :, dims[l] :].copy(), c[l]) for l in range(n_layers)]
-    return xhs[-1][1:, :, dims[-1] :], finals, caches
+    b = np.stack(bs)[:, None, :]
+    c0 = np.stack([s[1] for s in states])
+    c = c0[:0]  # the previous diagonal's c stack
+    diagonals, c_final = [], []
+    for d in range(T + L - 1):
+        lo, hi = max(0, d - T + 1), min(L, d + 1)
+        z = np.empty((hi - lo, B, 4 * H), dtype=X.dtype)
+        for l in range(lo, hi):
+            np.matmul(xhs[l][d - l], Ws[l].T, out=z[l - lo])
+        # the layer that reached t = T-1 drops out (d >= T); layer d starts (d < L)
+        c_prev = c[lo - max(0, d - T) :]
+        if d < L:
+            c_prev = np.concatenate((c_prev, c0[d : d + 1]))
+        a, c, tc, h = _gates(z, b[lo:hi], c_prev)
+        for l in range(lo, hi):
+            xhs[l][d - l + 1, :, dims[l] :] = h[l - lo]
+            if l + 1 < L:
+                xhs[l + 1][d - l, :, :H] = h[l - lo]
+        diagonals.append((lo, a, c_prev, tc))
+        if d >= T - 1:
+            c_final.append(c[0].copy())
+    finals = [(xh[T, :, D:].copy(), cl) for xh, D, cl in zip(xhs, dims, c_final)]
+    return xhs[-1][1:, :, dims[-1] :], finals, (xhs, diagonals)
 
 
 def lstm_backward(dH_top, caches, Ws):
     """Backprop a window; gradients into the initial states are dropped.
 
-    Returns (dX, dWs, dbs) matching the forward window.
+    Walks the forward's diagonals in reverse: cell (t, l) takes its
+    gradients from (t, l+1) and (t+1, l), both on diagonal d+1. Returns
+    (dX, dWs, dbs) matching the forward window.
     """
-    T = len(caches)
-    n_layers = len(Ws)
-    B = dH_top.shape[1]
-    hidden = [W.shape[0] // 4 for W in Ws]
-    in_dims = [W.shape[1] - W.shape[0] // 4 for W in Ws]
-
+    xhs, diagonals = caches
+    T, B, H = dH_top.shape
+    L = len(Ws)
+    dims = [W.shape[1] - H for W in Ws]
     dWs = [np.zeros_like(W) for W in Ws]
-    dbs = [np.zeros(4 * hd, dtype=dH_top.dtype) for hd in hidden]
-    dh_next = [np.zeros((B, hd), dtype=dH_top.dtype) for hd in hidden]
-    dc_next = [np.zeros((B, hd), dtype=dH_top.dtype) for hd in hidden]
-    dX = np.empty((T, B, in_dims[0]), dtype=dH_top.dtype)
+    dbs = [np.zeros(4 * H, dtype=dH_top.dtype) for _ in Ws]
+    zero = np.zeros((1, B, H), dtype=dH_top.dtype)
+    dh_next, d_above = [zero[0]] * L, [None] * L
+    dc_next = zero[:0]  # dc * f of the diagonal after this one
+    dX = np.empty((T, B, dims[0]), dtype=dH_top.dtype)
 
-    for t in range(T - 1, -1, -1):
-        d_from_above = dH_top[t]
-        for l in range(n_layers - 1, -1, -1):
-            dh = d_from_above + dh_next[l]
-            dx, dh_prev, dc_prev, dW, db = lstm_cell_backward(dh, dc_next[l], caches[t][l], Ws[l])
-            dWs[l] += dW
-            dbs[l] += db
-            dh_next[l] = dh_prev
-            dc_next[l] = dc_prev
-            d_from_above = dx
-        dX[t] = d_from_above
+    for d in range(T + L - 2, -1, -1):
+        lo, a, c_prev, tc = diagonals[d]
+        hi = lo + len(a)
+        dh = np.empty((hi - lo, B, H), dtype=dH_top.dtype)
+        for l in range(lo, hi):
+            above = dH_top[d - l] if l == L - 1 else d_above[l]
+            np.add(above, dh_next[l], out=dh[l - lo])
+        i, f, g, o = _split(a)
+        dc = dh * o
+        dc *= 1.0 - tc * tc
+        # layer lo starts its walk back from t = T-1 when d >= T-1
+        dc_in = dc_next[: hi - max(0, d + 2 - T)]
+        dc += np.concatenate((zero, dc_in)) if d >= T - 1 else dc_in
+        # dz = [di*i*(1-i) | df*f*(1-f) | dg*(1-g*g) | do*o*(1-o)], in this order
+        dg = dc * i
+        dz = np.concatenate((dc * g, dc * c_prev, dg, dh * tc), axis=-1)
+        dg *= 1.0 - g * g
+        dz *= a
+        dz *= 1.0 - a
+        dz[..., 2 * H : 3 * H] = dg
+        db = dz.sum(axis=1)
+        dc_next = dc * f
+        for l in range(lo, hi):
+            t, D = d - l, dims[l]
+            dWs[l] += dz[l - lo].T @ xhs[l][t]
+            dbs[l] += db[l - lo]
+            dxh = dz[l - lo] @ Ws[l]
+            dh_next[l] = dxh[:, D:]
+            if l:
+                d_above[l - 1] = dxh[:, :D]
+            else:
+                dX[t] = dxh[:, :D]
     return dX, dWs, dbs
 
 

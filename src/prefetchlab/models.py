@@ -69,10 +69,14 @@ class _LstmPrefetcher:
     def zero_states(self, batch: int):
         return zero_states(self.layers, batch, self.hidden, self.dtype)
 
-    def _forward(self, a, b, states):
+    def run_lstm(self, a, b, states):
+        """(top-layer outputs, new states, caches) of the LSTM stack alone."""
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
         bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        H_top, new_states, caches = lstm_forward(self._inputs(a, b), states, Ws, bs)
+        return lstm_forward(self._inputs(a, b), states, Ws, bs)
+
+    def _forward(self, a, b, states):
+        H_top, new_states, caches = self.run_lstm(a, b, states)
         T, B, H = H_top.shape
         flat = H_top.reshape(T * B, H)
         logits = flat @ self.params["head_W"].T
@@ -507,7 +511,9 @@ def embedding_prediction_sets(
     window: int = 512,
 ):
     """Stream the full event sequence (warm state) and keep events whose
-    target miss index is >= test_start."""
+    target miss index is >= test_start. A window without a kept event only
+    advances the state; windows are never cut, since BLAS rounds a GEMM's
+    rows differently when it is given a subset of them."""
     n = len(dataset["label"])
     states = model.zero_states(1)
     keep = dataset["target_index"] >= test_start
@@ -517,8 +523,11 @@ def embedding_prediction_sets(
         hi = min(lo + window, n)
         pc = dataset["pc"][lo:hi].reshape(-1, 1)
         din = dataset["delta_in"][lo:hi].reshape(-1, 1)
-        ids, states = model.predict_topk(pc, din, states, k)
         sel = np.nonzero(keep[lo:hi])[0]
+        if not len(sel):
+            states = model.run_lstm(pc, din, states)[1]
+            continue
+        ids, states = model.predict_topk(pc, din, states, k)
         for ts, row, true in zip(
             dataset["timestep"][lo + sel].tolist(),
             ids[sel, 0].tolist(),
@@ -548,6 +557,9 @@ def cluster_prediction_sets(
         hi = min(lo + window, cols)
         nd = dataset["norm_delta"][:, lo:hi].T
         cid = dataset["cluster_id"][:, lo:hi].T
+        if not keep[:, lo:hi].any():  # warm-up: see embedding_prediction_sets
+            states = model.run_lstm(nd, cid, states)[1]
+            continue
         ids, states = model.predict_topk(nd, cid, states, k)
         for c in range(rows):
             sel = np.nonzero(keep[c, lo:hi])[0]

@@ -144,18 +144,15 @@ class CoverageStats:
     deltas_for_50pct_mass: int
 
 
-def mass_prefix_length(counts: Counter, fraction: float = 0.5) -> int:
-    """Minimum prefix of the frequency-sorted list whose mass is >= fraction."""
-    total = sum(counts.values())
-    if total == 0:
+def mass_prefix_length(counts, fraction: float = 0.5) -> int:
+    """Minimum prefix of the frequency-sorted counts (a Counter or an array)
+    whose mass is >= fraction; ties cannot change its length."""
+    if isinstance(counts, Counter):
+        counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    mass = np.cumsum(np.sort(counts)[::-1])
+    if len(mass) == 0 or mass[-1] == 0:
         return 0
-    need = fraction * total
-    acc = 0
-    for k, (_, c) in enumerate(_ranked(counts), start=1):
-        acc += c
-        if acc >= need:
-            return k
-    return len(counts)
+    return min(int(np.searchsorted(mass, fraction * int(mass[-1]))) + 1, len(mass))
 
 
 def coverage_stats(misses: MissStream, deltas: np.ndarray) -> CoverageStats:
@@ -164,8 +161,8 @@ def coverage_stats(misses: MissStream, deltas: np.ndarray) -> CoverageStats:
         raise DataError("empty miss stream")
     if len(deltas) == 0:
         raise DataError("empty delta stream")
-    addr_counts = Counter(misses.line.tolist())
-    delta_counts = Counter(np.asarray(deltas).tolist())
+    addr_counts = np.unique(misses.line, return_counts=True)[1]
+    delta_counts = np.unique(deltas, return_counts=True)[1]
     return CoverageStats(
         num_misses=len(misses),
         num_unique_pcs=len(np.unique(misses.pc)),

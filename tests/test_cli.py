@@ -87,12 +87,20 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("cluster: {min_input_count: 0}\n", ("cluster.min_input_count",)),
         ("seed: x\n", ("seed",)),
         ("seed: true\n", ("seed",)),
+        ("eval: {baselines: x}\n", ("eval.baselines",)),
+        ("eval: {split: 1.0}\n", ("eval.split",)),
+        ("eval: {split: x}\n", ("eval.split",)),
+        ("model: {type: rnn}\n", ("model.type",)),
+        ("model: {modality: pcs}\n", ("model.modality",)),
+        ("train: {optimizer: sgd}\n", ("train.optimizer",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
          "dtype_null", "steps_string", "batch_string", "window_zero", "clip_string",
          "lr_string", "max_output_string", "min_input_count_float", "cluster_k_string",
-         "max_iters_string", "cluster_min_input_count_zero", "seed_string", "seed_bool"],
+         "max_iters_string", "cluster_min_input_count_zero", "seed_string", "seed_bool",
+         "baselines_string", "split_one", "split_string", "type_unknown", "modality_unknown",
+         "optimizer_unknown"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prefetchlab.errors import TraceFormatError
+from prefetchlab.errors import ConfigError, TraceFormatError
 from prefetchlab.lstm import (
     adagrad_step,
     adam_step,
@@ -262,16 +262,136 @@ def test_forward_bit_equal_to_concatenating_forward(dtype, B, D, H, T):
         assert_bit_equal(got[1], ref[1])
     # carried state must not keep the window's buffers alive
     assert all(h.base is None and c.base is None for h, c in finals)
-    for step, step_ref in zip(caches, caches_ref):
-        for cache, cache_ref in zip(step, step_ref):
-            assert len(cache) == len(cache_ref)
-            for got, ref in zip(cache, cache_ref):
-                assert_bit_equal(got, ref)
     dH = rng.normal(size=(T, B, H)).astype(dtype)
     dX, dWs, dbs = lstm_backward(dH, caches, Ws)
-    dX_ref, dWs_ref, dbs_ref = lstm_backward(dH, caches_ref, Ws)
+    dX_ref, dWs_ref, dbs_ref = step_lstm_backward(dH, caches_ref, Ws)
     for got, ref in zip([dX, *dWs, *dbs], [dX_ref, *dWs_ref, *dbs_ref]):
         assert_bit_equal(got, ref)
+
+
+# The step-by-step window forward and backward that the diagonal schedule
+# replaced: one cell at a time, every layer of step t before step t+1.
+
+
+def step_cell_forward(xh, c_prev, W, b, h=None):
+    H = c_prev.shape[1]
+    z = xh @ W.T
+    z += b
+    a = sigmoid(z)
+    np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+    i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+    c = f * c_prev
+    c += i * g
+    tc = np.tanh(c)
+    h = np.multiply(o, tc, out=h)
+    return h, c, (xh, i, f, g, o, c_prev, tc)
+
+
+def step_lstm_forward(X, states, Ws, bs):
+    T, B, _ = X.shape
+    n_layers = len(Ws)
+    xhs, dims = [], []
+    for l in range(n_layers):
+        H = Ws[l].shape[0] // 4
+        D = Ws[l].shape[1] - H
+        xh = np.empty((T + 1, B, D + H), dtype=X.dtype)
+        xh[0, :, D:] = states[l][0]
+        xhs.append(xh)
+        dims.append(D)
+    xhs[0][:T, :, : dims[0]] = X
+    c = [s[1] for s in states]
+    caches = [[None] * n_layers for _ in range(T)]
+    for t in range(T):
+        for l in range(n_layers):
+            xh, D = xhs[l], dims[l]
+            h, c[l], caches[t][l] = step_cell_forward(xh[t], c[l], Ws[l], bs[l],
+                                                      xh[t + 1, :, D:])
+            if l + 1 < n_layers:
+                xhs[l + 1][t, :, : dims[l + 1]] = h
+    finals = [(xhs[l][T, :, dims[l] :].copy(), c[l]) for l in range(n_layers)]
+    return xhs[-1][1:, :, dims[-1] :], finals, caches
+
+
+def step_cell_backward(dh, dc_in, cache, W):
+    xh, i, f, g, o, c_prev, tc = cache
+    H = i.shape[1]
+    D = xh.shape[1] - H
+    do = dh * tc
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    di = dc * g
+    df = dc * c_prev
+    dg = dc * i
+    dc_prev = dc * f
+    dz = np.concatenate(
+        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+        axis=1,
+    )
+    dW = dz.T @ xh
+    db = dz.sum(axis=0)
+    dxh = dz @ W
+    return dxh[:, :D], dxh[:, D:], dc_prev, dW, db
+
+
+def step_lstm_backward(dH_top, caches, Ws):
+    T = len(caches)
+    n_layers = len(Ws)
+    B = dH_top.shape[1]
+    hidden = [W.shape[0] // 4 for W in Ws]
+    in_dims = [W.shape[1] - W.shape[0] // 4 for W in Ws]
+    dWs = [np.zeros_like(W) for W in Ws]
+    dbs = [np.zeros(4 * hd, dtype=dH_top.dtype) for hd in hidden]
+    dh_next = [np.zeros((B, hd), dtype=dH_top.dtype) for hd in hidden]
+    dc_next = [np.zeros((B, hd), dtype=dH_top.dtype) for hd in hidden]
+    dX = np.empty((T, B, in_dims[0]), dtype=dH_top.dtype)
+    for t in range(T - 1, -1, -1):
+        d_from_above = dH_top[t]
+        for l in range(n_layers - 1, -1, -1):
+            dh = d_from_above + dh_next[l]
+            dx, dh_prev, dc_prev, dW, db = step_cell_backward(dh, dc_next[l], caches[t][l], Ws[l])
+            dWs[l] += dW
+            dbs[l] += db
+            dh_next[l] = dh_prev
+            dc_next[l] = dc_prev
+            d_from_above = dx
+        dX[t] = d_from_above
+    return dX, dWs, dbs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("B", [1, 3, 64])
+@pytest.mark.parametrize("T", [1, 2, 9])
+def test_diagonal_schedule_bit_equal_to_step_by_step(dtype, L, B, T):
+    # T < L leaves diagonals on which only some layers are active
+    rng = np.random.default_rng(L * 1000 + B * 10 + T)
+    D, H = 5, 24
+    Ws, bs = [], []
+    for l in range(L):
+        W, _ = lstm_layer_init(D if l == 0 else H, H, rng, dtype)
+        Ws.append(W)
+        bs.append((rng.normal(size=4 * H) * 0.5).astype(dtype))
+    X = (rng.normal(size=(T, B, D)) * 2).astype(dtype)
+    states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
+               (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
+    out, finals, caches = lstm_forward(X, states, Ws, bs)
+    out_ref, finals_ref, caches_ref = step_lstm_forward(X, states, Ws, bs)
+    assert_bit_equal(out, out_ref)
+    for got, ref in zip(finals, finals_ref):
+        assert_bit_equal(got[0], ref[0])
+        assert_bit_equal(got[1], ref[1])
+    dH = rng.normal(size=(T, B, H)).astype(dtype)
+    dX, dWs, dbs = lstm_backward(dH, caches, Ws)
+    dX_ref, dWs_ref, dbs_ref = step_lstm_backward(dH, caches_ref, Ws)
+    for got, ref in zip([dX, *dWs, *dbs], [dX_ref, *dWs_ref, *dbs_ref]):
+        assert_bit_equal(got, ref)
+
+
+def test_forward_rejects_mixed_hidden_sizes():
+    rng = np.random.default_rng(9)
+    (W0, b0), (W1, b1) = lstm_layer_init(3, 4, rng), lstm_layer_init(4, 6, rng)
+    states = [(np.zeros((2, 4)), np.zeros((2, 4))), (np.zeros((2, 6)), np.zeros((2, 6)))]
+    with pytest.raises(ConfigError):
+        lstm_forward(np.zeros((5, 2, 3)), states, [W0, W1], [b0, b1])
 
 
 def test_backward_matches_finite_differences():

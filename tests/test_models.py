@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -490,6 +491,45 @@ def test_prediction_sets_equal_per_event_decoding():
     for test_start, k, window in ((210, 10, 512), (0, 2, 7)):
         got = embedding_prediction_sets(model, ds, vocab, test_start, k, window)
         assert got == per_event_prediction_sets(model, ds, [vocab], test_start, k, window)
+
+
+def test_warm_up_windows_skip_the_head(monkeypatch):
+    # windows holding no kept event only advance the state; the sets must
+    # equal a reference that runs predict_topk on every window
+    rng = np.random.default_rng(22)
+    lines = np.cumsum(rng.choice([1, 2, 5, -3, 40], size=300)) + 10_000
+    misses = misses_from_lines(lines, pcs=rng.integers(0, 4, 300))
+    vocab = build_vocab(compute_deltas(misses.line[:210]), max_output=4, min_input_count=2)
+    pc_vocab = build_pc_vocab(misses.pc[:210])
+    emb = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output,
+                              hidden=6, embed=3, layers=2, seed=6)
+    emb_ds = embedding_dataset(misses, vocab, pc_vocab)
+    assignments = np.arange(300) % 3
+    vocabs = build_cluster_vocabs(misses, assignments, train_len=210, min_input_count=1)
+    clu = ClusterPrefetcher([v.n_output for v in vocabs], hidden=6, layers=2, seed=7)
+    clu_ds = cluster_dataset(misses, assignments, vocabs, np.array([[0.0, 4.0]] * 3), clu)
+    # the first kept column is 210 for the embedding model at test_start
+    # 211 and 69 for the cluster model at 210: on a window boundary for
+    # windows of 30 and 23, mid-window for windows of 40 and 30
+    cases = [(emb, emb_ds, vocab, 211, 210, 30), (emb, emb_ds, vocab, 211, 210, 40),
+             (clu, clu_ds, vocabs, 210, 69, 23), (clu, clu_ds, vocabs, 210, 69, 30)]
+    for model, ds, vs, test_start, first, window in cases:
+        rows = ds["label"].reshape(-1, ds["label"].shape[-1])
+        kept = ds["target_index"].reshape(rows.shape) >= test_start
+        assert np.nonzero(kept.any(axis=0))[0][0] == first
+        real, calls = model.predict_topk, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "predict_topk", counted)
+        sets_fn = embedding_prediction_sets if model is emb else cluster_prediction_sets
+        got = sets_fn(model, ds, vs, test_start, 3, window)
+        monkeypatch.undo()
+        assert len(calls) == math.ceil(rows.shape[1] / window) - first // window
+        ref_vocabs = [vs] if model is emb else vs
+        assert got == per_event_prediction_sets(model, ds, ref_vocabs, test_start, 3, window)
 
 
 # ---------------------------------------------------------------------------
