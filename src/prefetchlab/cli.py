@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 import yaml
@@ -89,7 +92,7 @@ def _one_of(*choices):
 
 _POSITIVE_INT = (_positive_int, "an integer >= 1")
 # key path -> (check, what the value must be); the trace: and cache: sections
-# are checked when their specs are built
+# are checked when their specs are built, trace: also at load
 VALUE_CHECKS = {
     ("seed",): (_int, "an integer"),
     ("vocab", "max_output"): _POSITIVE_INT,
@@ -153,6 +156,11 @@ def load_config(path, seed: int | None = None) -> dict:
         value = functools.reduce(dict.__getitem__, keys, merged)
         if not ok(value):
             raise ConfigError(f"{path}: {'.'.join(keys)} must be {want}, got {value!r}")
+    if merged.get("trace") is not None:
+        try:
+            trace_spec_from_config(merged)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
     return merged
 
 
@@ -162,17 +170,40 @@ def _as_tuple(value):
     return value
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value, its lists made tuples, fits a spec field's type."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:  # every spec tuple is tuple[X, ...]
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
+    return _int(value) if hint is int else isinstance(value, hint)
+
+
 def trace_spec_from_config(cfg: dict):
-    section = dict(cfg.get("trace") or {})
+    """The trace spec of `cfg`'s trace: section, each value checked
+    against its field's annotation."""
+    section = cfg.get("trace") or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"trace must be a mapping, got {section!r}")
+    section = dict(section)
     kind = section.pop("kind", None)
     if kind not in _SPEC_KINDS:
         raise ConfigError(f"trace.kind must be one of {sorted(_SPEC_KINDS)}, got {kind!r}")
     section.setdefault("seed", cfg.get("seed", 0))
-    section = {key: _as_tuple(v) for key, v in section.items()}
-    try:
-        return _SPEC_KINDS[kind](**section)
-    except TypeError as e:
-        raise ConfigError(f"bad trace config for kind {kind!r}: {e}") from None
+    spec = _SPEC_KINDS[kind]
+    fields = {f.name: f for f in dataclasses.fields(spec)}
+    hints = typing.get_type_hints(spec)
+    for key, value in section.items():
+        if key not in fields:
+            raise ConfigError(f"unknown key trace.{key} for kind {kind!r}")
+        if not _fits(_as_tuple(value), hints[key]):
+            raise ConfigError(f"trace.{key} must be {fields[key].type}, got {value!r}")
+    missing = [name for name, f in fields.items() if name not in section
+               and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"trace.{missing[0]} is required for kind {kind!r}")
+    return spec(**{key: _as_tuple(v) for key, v in section.items()})
 
 
 def hierarchy_from_config(cfg: dict) -> HierarchyConfig:
@@ -321,20 +352,26 @@ def run_train(cfg: dict, out_dir: str) -> dict:
 
 
 def run_eval(cfg: dict, out_dir: str) -> dict:
+    """Scores the model, then each baseline. Each method's prediction sets
+    are freed once scored, and the model and its dataset before the
+    baselines run, so eval holds one method's sets at a time."""
     misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
     k = cfg["eval"]["k"]
     if cfg["model"]["type"] == "embedding":
-        sets = models.embedding_prediction_sets(model, dataset, vocabs, n_train, k)
+        prediction_sets = models.embedding_prediction_sets
     else:
-        sets = models.cluster_prediction_sets(model, dataset, vocabs, n_train, k)
+        prediction_sets = models.cluster_prediction_sets
+    sets = prediction_sets(model, dataset, vocabs, n_train, k)
     metrics = {"model": evaluation.metrics_summary(sets, k)}
+    del sets, model, dataset, vocabs
     if cfg["eval"]["baselines"]:
-        for name, pf in (
-            ("stream", baselines.StreamPrefetcher()),
-            ("ghb_pc_dc", baselines.GhbPcDc()),
+        for name, prefetcher in (
+            ("stream", baselines.StreamPrefetcher),
+            ("ghb_pc_dc", baselines.GhbPcDc),
         ):
-            test_sets = baselines.baseline_prediction_sets(pf, misses, start=n_train)
-            metrics[name] = evaluation.metrics_summary(test_sets, k)
+            metrics[name] = evaluation.metrics_summary(
+                baselines.baseline_prediction_sets(prefetcher(), misses, start=n_train), k
+            )
     payload = {"n_train": n_train, "n_misses": len(misses), "metrics": metrics}
     evaluation.write_report(os.path.join(out_dir, METRICS_FILE), payload)
     return payload

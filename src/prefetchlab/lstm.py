@@ -88,11 +88,14 @@ def zero_states(n_layers: int, batch: int, hidden: int, dtype=np.float64):
     ]
 
 
-def lstm_forward(X, states, Ws, bs):
+def lstm_forward(X, states, Ws, bs, cache=True):
     """Run a (T, B, D) window through the stack.
 
     `states` is a list of (h, c) per layer and is not mutated. Returns the
     top-layer outputs (T, B, H), the final states, and caches for backward.
+    With `cache=False` the caches are None: each diagonal's activations are
+    dropped as soon as the next diagonal has read them, which is all that
+    inference needs, and the results are unchanged.
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
     do not depend on each other: after each layer's own `[x | h] @ W.T`,
@@ -130,11 +133,12 @@ def lstm_forward(X, states, Ws, bs):
             xhs[l][d - l + 1, :, dims[l] :] = h[l - lo]
             if l + 1 < L:
                 xhs[l + 1][d - l, :, :H] = h[l - lo]
-        diagonals.append((lo, a, c_prev, tc))
+        if cache:
+            diagonals.append((lo, a, c_prev, tc))
         if d >= T - 1:
             c_final.append(c[0].copy())
     finals = [(xh[T, :, D:].copy(), cl) for xh, D, cl in zip(xhs, dims, c_final)]
-    return xhs[-1][1:, :, dims[-1] :], finals, (xhs, diagonals)
+    return xhs[-1][1:, :, dims[-1] :], finals, (xhs, diagonals) if cache else None
 
 
 def lstm_backward(dH_top, caches, Ws):

@@ -43,15 +43,18 @@ from .trace import MissStream
 from .vocab import DeltaVocab, build_vocab
 
 MASK_NEG = -1e30  # additive logit mask for classes a cluster cannot emit
+MASK_BLOCK = 1 << 16  # elements of mask rows gathered at once
 
 
 class _LstmPrefetcher:
     """Stacked LSTM plus softmax head over per-position input vectors.
 
     Subclasses provide `_inputs(a, b)` (the (T, B, D) input encoding of
-    their two id arrays) and `_loss_mask(b)` (an additive logit mask or
-    None), and put their own input tables into `params` before calling
-    `_init_core`, so RNG draws and parameter order follow that order.
+    their two id arrays) and `_mask_loss_logits(logits, b)` (which masks
+    the (T*B, C) logits in place, or leaves them), and put their own input
+    tables into `params` before calling `_init_core`, so RNG draws and
+    parameter order follow that order. Only training keeps the LSTM's
+    backward caches; every other forward runs with `cache=False`.
     """
 
     def _init_core(self, params: dict, rng, input_dim: int, n_classes: int) -> None:
@@ -69,25 +72,23 @@ class _LstmPrefetcher:
     def zero_states(self, batch: int):
         return zero_states(self.layers, batch, self.hidden, self.dtype)
 
-    def run_lstm(self, a, b, states):
+    def run_lstm(self, a, b, states, cache=False):
         """(top-layer outputs, new states, caches) of the LSTM stack alone."""
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
         bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        return lstm_forward(self._inputs(a, b), states, Ws, bs)
+        return lstm_forward(self._inputs(a, b), states, Ws, bs, cache=cache)
 
-    def _forward(self, a, b, states):
-        H_top, new_states, caches = self.run_lstm(a, b, states)
+    def _forward(self, a, b, states, cache=False):
+        H_top, new_states, caches = self.run_lstm(a, b, states, cache)
         T, B, H = H_top.shape
         flat = H_top.reshape(T * B, H)
         logits = flat @ self.params["head_W"].T
         logits += self.params["head_b"]
         return logits, flat, new_states, caches
 
-    def _loss_terms(self, a, b, labels, states):
-        logits, flat, new_states, caches = self._forward(a, b, states)
-        mask = self._loss_mask(b)
-        if mask is not None:
-            logits += mask
+    def _loss_terms(self, a, b, labels, states, cache=False):
+        logits, flat, new_states, caches = self._forward(a, b, states, cache)
+        self._mask_loss_logits(logits, b)
         # the logits buffer comes back as dlogits
         loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
         return loss, dlogits, flat, new_states, caches
@@ -99,7 +100,7 @@ class _LstmPrefetcher:
     def _core_grads(self, a, b, labels, states):
         """Loss, grads keyed in `params` order (input tables left None),
         dL/d(inputs) (T, B, D) and new states."""
-        loss, dlogits, flat, new_states, caches = self._loss_terms(a, b, labels, states)
+        loss, dlogits, flat, new_states, caches = self._loss_terms(a, b, labels, states, cache=True)
         # in params order: clip_global_norm sums the squares in dict order
         grads = dict.fromkeys(self.params)
         grads["head_W"] = dlogits.T @ flat
@@ -180,8 +181,8 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
             parts.append(self.params["emb_delta"][delta_ids])
         return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
 
-    def _loss_mask(self, delta_ids):
-        return None
+    def _mask_loss_logits(self, logits, delta_ids):
+        pass
 
     def loss_and_grads(self, pc_ids, delta_ids, labels, states):
         loss, grads, dX, new_states = self._core_grads(pc_ids, delta_ids, labels, states)
@@ -258,8 +259,21 @@ class ClusterPrefetcher(_LstmPrefetcher):
         onehot = np.eye(self.k, dtype=self.dtype)[cluster_ids]
         return np.concatenate([norm_delta[..., None].astype(self.dtype), onehot], axis=-1)
 
-    def _loss_mask(self, cluster_ids):
-        return self.loss_mask[cluster_ids.reshape(-1)]
+    @staticmethod
+    def _add_mask(logits, mask, cluster_ids):
+        """Add each position's row of a (k, C) mask to the (T*B, C) logits in
+        place. The rows are gathered a block of time steps at a time, each
+        block at most MASK_BLOCK elements or one (B, C) time step, so the
+        gather never copies a large head whole; a small head takes one
+        gather, where a loop over time steps would cost more than the add."""
+        T, B = cluster_ids.shape
+        blocks = logits.reshape(T, B, -1)
+        step = max(1, MASK_BLOCK // blocks[0].size)
+        for t in range(0, T, step):
+            blocks[t : t + step] += mask[cluster_ids[t : t + step]]
+
+    def _mask_loss_logits(self, logits, cluster_ids):
+        self._add_mask(logits, self.loss_mask, cluster_ids)
 
     def loss_and_grads(self, norm_delta, cluster_ids, labels, states):
         loss, grads, _, new_states = self._core_grads(norm_delta, cluster_ids, labels, states)
@@ -268,7 +282,7 @@ class ClusterPrefetcher(_LstmPrefetcher):
     def predict_topk(self, norm_delta, cluster_ids, states, k: int = 10):
         """Top-k shared-head ids per position; masked-out slots come back -1."""
         scores, _, new_states, _ = self._forward(norm_delta, cluster_ids, states)
-        scores += self.pred_mask[cluster_ids.reshape(-1)]
+        self._add_mask(scores, self.pred_mask, cluster_ids)
         ids = topk_indices(scores, min(k, self.head_size))
         picked = np.take_along_axis(scores, ids, axis=-1)
         ids = np.where(picked > MASK_NEG / 2, ids, -1)
@@ -425,6 +439,9 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
             adam_step(model.params, grads, opt_state, lr=cfg.lr)
         else:
             adagrad_step(model.params, grads, opt_state, lr=cfg.lr)
+        # freed now, not when the next step rebinds them after its head, where
+        # memory peaks
+        del grads
         history.append({"step": step, "loss": loss, "grad_norm": norm})
         pos += window
         if callback is not None and cfg.eval_every and step % cfg.eval_every == 0:

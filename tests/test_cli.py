@@ -1,5 +1,7 @@
 import csv
+import functools
 import os
+import weakref
 
 import pytest
 import yaml
@@ -93,6 +95,12 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("model: {type: rnn}\n", ("model.type",)),
         ("model: {modality: pcs}\n", ("model.modality",)),
         ("train: {optimizer: sgd}\n", ("train.optimizer",)),
+        ("trace: {kind: stride, length: x}\n", ("trace.length",)),
+        ("trace: {kind: stride, length: 1000, stride: x}\n", ("trace.stride",)),
+        ("trace: {kind: multi_stride, length: 1.5}\n", ("trace.length",)),
+        ("trace: {kind: multi_stride, length: 10, strides: [64, x]}\n", ("trace.strides",)),
+        ("trace: {kind: stride, length: 10, strid: 8}\n", ("trace.strid",)),
+        ("trace: [stride, 10]\n", ("trace must be a mapping",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
@@ -100,7 +108,9 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          "lr_string", "max_output_string", "min_input_count_float", "cluster_k_string",
          "max_iters_string", "cluster_min_input_count_zero", "seed_string", "seed_bool",
          "baselines_string", "split_one", "split_string", "type_unknown", "modality_unknown",
-         "optimizer_unknown"],
+         "optimizer_unknown", "trace_length_string", "trace_stride_string",
+         "trace_length_float", "trace_strides_item_string", "trace_unknown_key",
+         "trace_not_a_mapping"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"
@@ -163,6 +173,41 @@ def test_cluster_pipeline_stages(tmp_path):
 
     metrics = read_report(out / "metrics.json")
     assert metrics["metrics"]["model"]["n_events"] > 0
+
+
+class SetList(list):
+    """A list of prediction sets that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("cfg,stages,sets_fn", [
+    (STRIDE_CFG, ("simulate", "vocab", "train"), "embedding_prediction_sets"),
+    (REGION_CFG, ("simulate", "cluster", "train"), "cluster_prediction_sets"),
+])
+def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages, sets_fn):
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in stages:
+        assert run(stage, cfg_path, out) == 0
+    made, alive_at_call = [], []
+
+    def watched(fn, *args, **kwargs):
+        alive_at_call.append([name for name, ref in made if ref() is not None])
+        sets = SetList(fn(*args, **kwargs))
+        made.append((fn.__name__, weakref.ref(sets)))
+        return sets
+
+    def model_sets(model, *args):
+        made.append(("model", weakref.ref(model)))
+        return watched(real_model_sets, model, *args)
+
+    real_model_sets = getattr(cli.models, sets_fn)
+    real_baseline_sets = cli.baselines.baseline_prediction_sets
+    monkeypatch.setattr(cli.models, sets_fn, model_sets)
+    monkeypatch.setattr(cli.baselines, "baseline_prediction_sets",
+                        functools.partial(watched, real_baseline_sets))
+    assert run("eval", cfg_path, out) == 0
+    # the model, and each method's sets once scored, are gone before the next method runs
+    assert alive_at_call == [["model"], [], []]
 
 
 def test_usage_errors_exit_2(tmp_path):

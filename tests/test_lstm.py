@@ -386,6 +386,27 @@ def test_diagonal_schedule_bit_equal_to_step_by_step(dtype, L, B, T):
         assert_bit_equal(got, ref)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("T", [2, 9])
+def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
+    rng = np.random.default_rng(L * 100 + B * 10 + T)
+    D, H = 5, 24
+    Ws = [lstm_layer_init(D if l == 0 else H, H, rng, dtype)[0] for l in range(L)]
+    bs = [(rng.normal(size=4 * H) * 0.5).astype(dtype) for _ in Ws]
+    X = (rng.normal(size=(T, B, D)) * 2).astype(dtype)
+    states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
+               (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
+    out, finals, caches = lstm_forward(X, states, Ws, bs, cache=False)
+    out_ref, finals_ref, caches_ref = lstm_forward(X, states, Ws, bs)
+    assert caches is None and len(caches_ref[1]) == T + L - 1
+    assert_bit_equal(out, out_ref)
+    for got, ref in zip(finals, finals_ref):
+        assert_bit_equal(got[0], ref[0])
+        assert_bit_equal(got[1], ref[1])
+
+
 def test_forward_rejects_mixed_hidden_sizes():
     rng = np.random.default_rng(9)
     (W0, b0), (W1, b1) = lstm_layer_init(3, 4, rng), lstm_layer_init(4, 6, rng)

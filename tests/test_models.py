@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -126,15 +127,23 @@ def test_grads_come_in_params_order():
 # ---------------------------------------------------------------------------
 
 
+def embedding_step_case(n_classes, T, B, rng):
+    model = EmbeddingPrefetcher(6, 3, n_classes - 1, hidden=8, embed=4, layers=1,
+                                dtype=np.float32, seed=0)
+    return model, (rng.integers(0, 4, size=(T, B)), rng.integers(0, 7, size=(T, B)))
+
+
+def cluster_step_case(n_classes, T, B, rng):
+    model = ClusterPrefetcher([n_classes - 1, 5, 3], hidden=8, layers=1, dtype=np.float32,
+                              seed=0)
+    return model, (rng.normal(size=(T, B)), rng.integers(0, 3, size=(T, B)))
+
+
 def test_training_step_holds_one_head_buffer(monkeypatch):
     """Peak traced memory of a step grows by one (T*B, C) buffer per class
-    added, not by one per softmax stage, and that buffer is freed before
-    the LSTM backward runs."""
+    added, not by one per softmax stage or logit mask, and that buffer is
+    freed before the LSTM backward runs."""
     T, B, small, large = 8, 16, 1001, 4001
-    rng = np.random.default_rng(3)
-    pc = rng.integers(0, 4, size=(T, B))
-    din = rng.integers(0, 7, size=(T, B))
-    labels = rng.integers(-1, small, size=(T, B))
     live_at_backward = []
     backward = models.lstm_backward
 
@@ -143,21 +152,24 @@ def test_training_step_holds_one_head_buffer(monkeypatch):
         return backward(*args)
 
     monkeypatch.setattr(models, "lstm_backward", lstm_backward)
-    peaks = []
-    for n_classes in (small, large):
-        model = EmbeddingPrefetcher(6, 3, n_classes - 1, hidden=8, embed=4, layers=1,
-                                    dtype=np.float32, seed=0)
-        states = model.zero_states(B)
-        tracemalloc.start()
-        try:
-            model.loss_and_grads(pc, din, labels, states)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
     buffer_growth = T * B * (large - small) * np.dtype(np.float32).itemsize
-    assert peaks[1] - peaks[0] <= 1.3 * buffer_growth
-    # only the (C, H) and (C,) head grads may grow with C by then
-    assert live_at_backward[1] - live_at_backward[0] <= 0.3 * buffer_growth
+    for make_case in (embedding_step_case, cluster_step_case):
+        peaks = []
+        live_at_backward.clear()
+        for n_classes in (small, large):
+            rng = np.random.default_rng(3)
+            model, inputs = make_case(n_classes, T, B, rng)
+            labels = rng.integers(-1, small, size=(T, B))
+            states = model.zero_states(B)
+            tracemalloc.start()
+            try:
+                model.loss_and_grads(*inputs, labels, states)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.3 * buffer_growth, make_case.__name__
+        # only the (C, H) and (C,) head grads may grow with C by then
+        assert live_at_backward[1] - live_at_backward[0] <= 0.3 * buffer_growth
 
 
 def test_modality_widths_are_preserved():
@@ -365,6 +377,32 @@ def test_train_model_callback_stops_early():
     assert len(history) == 10
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+def test_train_model_frees_gradients_before_the_next_step(optimizer):
+    # weak references see the gradient arrays themselves, so the optimizer
+    # state allocated in step 1, which lives on, does not count
+    n = 256
+    din = np.tile(np.array([0, 1], dtype=np.int64), n // 2)
+    model = EmbeddingPrefetcher(
+        n_delta_inputs=2, n_pcs=1, n_outputs=2, hidden=8, embed=4, layers=1, seed=0
+    )
+    batches = batchify({"pc": np.zeros(n, dtype=np.int64), "delta_in": din,
+                        "label": np.roll(din, -1)}, 4)
+    real, grads_of_step, alive_at_entry = model.loss_and_grads, [], []
+
+    def tracked(*args):
+        alive_at_entry.append([name for refs in grads_of_step for name, ref in refs.items()
+                               if ref() is not None])
+        loss, grads, states = real(*args)
+        grads_of_step.append({name: weakref.ref(g) for name, g in grads.items()})
+        return loss, grads, states
+
+    model.loss_and_grads = tracked
+    train_model(model, batches, TrainConfig(steps=3, window=16, optimizer=optimizer))
+    assert len(grads_of_step) == 3 and len(grads_of_step[0]) == len(model.params)
+    assert alive_at_entry == [[], [], []]
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(steps=1, optimizer="sgd")
@@ -530,6 +568,40 @@ def test_warm_up_windows_skip_the_head(monkeypatch):
         assert len(calls) == math.ceil(rows.shape[1] / window) - first // window
         ref_vocabs = [vs] if model is emb else vs
         assert got == per_event_prediction_sets(model, ds, ref_vocabs, test_start, 3, window)
+
+
+def test_prediction_sets_keep_no_backward_caches():
+    """Inference drops each diagonal's activations: from window 64 to 512
+    the traced peak grows by far less than the 448 extra diagonals' caches
+    would take, (a, c_prev, tanh(c)) being 6H floats per row and layer."""
+    rng = np.random.default_rng(5)
+    n, H, L = 1537, 32, 2
+    lines = np.cumsum(rng.choice([1, 2, 5, -3, 40], size=n)) + 10_000
+    misses = misses_from_lines(lines, pcs=rng.integers(0, 4, n))
+    vocab = build_vocab(compute_deltas(misses.line), max_output=5, min_input_count=1)
+    pc_vocab = build_pc_vocab(misses.pc)
+    emb = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output, hidden=H,
+                              embed=2, layers=L, seed=0)
+    assignments = np.arange(n) % 3
+    vocabs = build_cluster_vocabs(misses, assignments, train_len=n, min_input_count=1)
+    clu = ClusterPrefetcher([v.n_output for v in vocabs], hidden=H, layers=L, seed=1)
+    cases = [
+        (embedding_prediction_sets, emb, embedding_dataset(misses, vocab, pc_vocab), vocab, 1),
+        (cluster_prediction_sets, clu,
+         cluster_dataset(misses, assignments, vocabs, np.array([[0.0, 4.0]] * 3), clu), vocabs, 3),
+    ]
+    for sets_fn, model, ds, vs, rows in cases:
+        peaks = []
+        for window in (64, 512):
+            tracemalloc.start()
+            try:
+                sets = sets_fn(model, ds, vs, 0, 3, window)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del sets
+        cache_growth = (512 - 64) * L * rows * 6 * H * np.dtype(model.dtype).itemsize
+        assert peaks[1] - peaks[0] <= 0.5 * cache_growth, sets_fn.__name__
 
 
 # ---------------------------------------------------------------------------
