@@ -10,8 +10,8 @@ the frequency structure the classifier sees.
 from prefetchlab import cachesim, trace, vocab
 
 spec = trace.RegionHoppingSpec(length=20_000, run_length=32, seed=1)
-records = trace.generate_synthetic(spec)
-misses, _ = cachesim.simulate(records, cachesim.default_broadwell_config())
+pairs = trace.generate_synthetic(spec)  # (n, 2) uint64 (pc, addr) rows
+misses, _ = cachesim.simulate(pairs, cachesim.default_broadwell_config())
 
 deltas = vocab.compute_deltas(misses.line)
 stats = vocab.coverage_stats(misses, deltas)
@@ -28,5 +28,6 @@ v = vocab.build_vocab(deltas, max_output=50, min_input_count=10)
 print("input classes:", v.n_input, " output classes:", v.n_output)
 print("train-mass covered by output classes:", round(v.output_coverage(), 4))
 print("most frequent deltas (lines):")
-for delta, idx in v.output_classes[:8]:
-    print(f"  class {idx}: delta {delta}")
+# class i is the i-th ranked delta; the rank continues below the threshold
+for idx, delta in enumerate(v.output_deltas()[:8]):
+    print(f"  class {idx}: delta {delta} ({v.counts[idx]} times)")

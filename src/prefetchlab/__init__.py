@@ -45,7 +45,6 @@ from .trace import (
     PcCorrelatedSpec,
     RegionHoppingSpec,
     StrideSpec,
-    TraceRecord,
     generate_synthetic,
     read_miss_trace,
     read_trace,

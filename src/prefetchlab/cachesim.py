@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .trace import MissStream, TraceRecord
+from .trace import MissStream
 
 
 @dataclass(frozen=True)
@@ -128,21 +127,20 @@ class _Level:
         return False
 
 
-def simulate(
-    trace: Iterable[TraceRecord], config: HierarchyConfig
-) -> tuple[MissStream, SimStats]:
-    """Replay `trace` through the hierarchy; return (miss stream, stats).
+def simulate(pairs: np.ndarray, config: HierarchyConfig) -> tuple[MissStream, SimStats]:
+    """Replay the (n, 2) (pc, addr) trace `pairs` through the hierarchy;
+    return (miss stream, stats).
 
     Deterministic: only a function of the trace and the configuration.
     """
+    pairs = np.asarray(pairs, dtype=np.uint64)
     levels = [_Level(cfg) for cfg in config.levels]
     stats = SimStats([LevelStats() for _ in config.levels])
     emit = config.emit_index
-    shift = config.line_size.bit_length() - 1
+    shift = np.uint64(config.line_size.bit_length() - 1)
 
-    missed: list[TraceRecord] = []
-    for rec in trace:
-        line = rec.addr >> shift
+    missed = bytearray(len(pairs))
+    for t, line in enumerate((pairs[:, 1] >> shift).tolist()):
         for i, lv in enumerate(levels):
             st = stats.levels[i]
             st.accesses += 1
@@ -151,7 +149,7 @@ def simulate(
                 break
             st.misses += 1
             if i == emit:
-                missed.append(rec)
+                missed[t] = 1
     stats.check()
-    pairs = np.array(missed, dtype=np.uint64).reshape(-1, 2)
-    return MissStream.from_pairs(pairs, config.line_size), stats
+    misses = MissStream.from_pairs(pairs[np.frombuffer(missed, dtype=bool)], config.line_size)
+    return misses, stats

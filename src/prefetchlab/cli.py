@@ -92,7 +92,7 @@ def _one_of(*choices):
 
 _POSITIVE_INT = (_positive_int, "an integer >= 1")
 # key path -> (check, what the value must be); the trace: and cache: sections
-# are checked when their specs are built, trace: also at load
+# are checked by building their specs
 VALUE_CHECKS = {
     ("seed",): (_int, "an integer"),
     ("vocab", "max_output"): _POSITIVE_INT,
@@ -156,11 +156,12 @@ def load_config(path, seed: int | None = None) -> dict:
         value = functools.reduce(dict.__getitem__, keys, merged)
         if not ok(value):
             raise ConfigError(f"{path}: {'.'.join(keys)} must be {want}, got {value!r}")
-    if merged.get("trace") is not None:
-        try:
+    try:
+        hierarchy_from_config(merged)
+        if merged.get("trace") is not None:
             trace_spec_from_config(merged)
-        except ConfigError as e:
-            raise ConfigError(f"{path}: {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return merged
 
 
@@ -180,9 +181,28 @@ def _fits(value, hint) -> bool:
     return _int(value) if hint is int else isinstance(value, hint)
 
 
+def _checked(cls, section: dict, where: str, note: str = ""):
+    """`cls(**section)`, each value (its lists made tuples) checked against
+    the annotation of its field; `where` names the section in errors."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key not in fields:
+            raise ConfigError(f"unknown key {where}.{key}{note}")
+        if not _fits(_as_tuple(value), hints[key]):
+            raise ConfigError(f"{where}.{key} must be {fields[key].type}, got {value!r}")
+    missing = [name for name, f in fields.items() if name not in section
+               and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where}.{missing[0]} is required{note}")
+    return cls(**{key: _as_tuple(value) for key, value in section.items()})
+
+
 def trace_spec_from_config(cfg: dict):
     """The trace spec of `cfg`'s trace: section, each value checked
-    against its field's annotation."""
+    against its field's annotation and every PC in [0, 2**64)."""
     section = cfg.get("trace") or {}
     if not isinstance(section, dict):
         raise ConfigError(f"trace must be a mapping, got {section!r}")
@@ -191,35 +211,26 @@ def trace_spec_from_config(cfg: dict):
     if kind not in _SPEC_KINDS:
         raise ConfigError(f"trace.kind must be one of {sorted(_SPEC_KINDS)}, got {kind!r}")
     section.setdefault("seed", cfg.get("seed", 0))
-    spec = _SPEC_KINDS[kind]
-    fields = {f.name: f for f in dataclasses.fields(spec)}
-    hints = typing.get_type_hints(spec)
-    for key, value in section.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key trace.{key} for kind {kind!r}")
-        if not _fits(_as_tuple(value), hints[key]):
-            raise ConfigError(f"trace.{key} must be {fields[key].type}, got {value!r}")
-    missing = [name for name, f in fields.items() if name not in section
-               and f.default is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"trace.{missing[0]} is required for kind {kind!r}")
-    return spec(**{key: _as_tuple(v) for key, v in section.items()})
+    spec = _checked(_SPEC_KINDS[kind], section, "trace", f" for kind {kind!r}")
+    key = "pc" if hasattr(spec, "pc") else "pcs"
+    pcs = (spec.pc,) if key == "pc" else spec.pcs or ()
+    if not all(0 <= pc < 1 << 64 for pc in pcs):
+        raise ConfigError(f"trace.{key} must be in [0, 2**64), got {section[key]!r}")
+    return spec
 
 
 def hierarchy_from_config(cfg: dict) -> HierarchyConfig:
-    """`cache:` is broadwell (the default) or {levels: [...], miss_emit_level}."""
+    """`cache:` is broadwell (the default) or {levels: [...], miss_emit_level},
+    each value checked against its field's annotation."""
     section = cfg.get("cache", "broadwell")
     if section in (None, "broadwell"):
         return default_broadwell_config()
     if not isinstance(section, dict) or not isinstance(section.get("levels"), list):
         raise ConfigError(f"cache must be broadwell or a mapping with a levels list, "
                           f"got {section!r}")
-    rest = {key: value for key, value in section.items() if key != "levels"}
-    try:
-        levels = tuple(CacheLevelConfig(**level) for level in section["levels"])
-        return HierarchyConfig(levels=levels, **rest)
-    except TypeError as e:
-        raise ConfigError(f"bad cache config {section!r}: {e}") from None
+    levels = tuple(_checked(CacheLevelConfig, level, f"cache.levels[{i}]")
+                   for i, level in enumerate(section["levels"]))
+    return _checked(HierarchyConfig, {**section, "levels": levels}, "cache")
 
 
 def _require(out_dir: str, name: str) -> str:
@@ -240,13 +251,13 @@ def _n_train(misses, cfg) -> int:
 
 def run_simulate(cfg: dict, out_dir: str) -> dict:
     spec = trace_spec_from_config(cfg)
-    records = trace.generate_synthetic(spec)
-    trace.write_trace(records, os.path.join(out_dir, TRACE_FILE))
+    pairs = trace.generate_synthetic(spec)
+    trace.write_trace(pairs, os.path.join(out_dir, TRACE_FILE))
     hierarchy = hierarchy_from_config(cfg)
-    misses, stats = simulate(records, hierarchy)
+    misses, stats = simulate(pairs, hierarchy)
     trace.write_miss_trace(misses, os.path.join(out_dir, MISSES_FILE))
     payload = {
-        "n_accesses": len(records),
+        "n_accesses": len(pairs),
         "n_misses": len(misses),
         "levels": [
             {"accesses": s.accesses, "hits": s.hits, "misses": s.misses} for s in stats.levels
@@ -405,7 +416,7 @@ def run_export_embeddings(cfg: dict, out_dir: str) -> dict:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["input_class_id", "delta"] + [f"dim{i}" for i in range(table.shape[1])])
-        for delta, idx in v.input_classes:
+        for idx, delta in enumerate(v.deltas[: v.n_input].tolist()):
             w.writerow([idx, delta] + [repr(float(x)) for x in table[idx]])
         w.writerow([v.oov_input, ""] + [repr(float(x)) for x in table[v.oov_input]])
     return {"rows": v.n_input + 1, "path": path}

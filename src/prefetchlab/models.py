@@ -251,9 +251,9 @@ class ClusterPrefetcher(_LstmPrefetcher):
     def oov_label(self) -> int:
         return self.head_size - 1
 
-    def shared_label(self, output_id: int, cluster: int) -> int:
-        """Map a per-cluster vocab output id into the shared head."""
-        return output_id if output_id < self.vocab_sizes[cluster] else self.oov_label
+    def shared_label(self, output_ids, cluster: int):
+        """Map per-cluster vocab output ids into the shared head."""
+        return np.where(output_ids < self.vocab_sizes[cluster], output_ids, self.oov_label)
 
     def _inputs(self, norm_delta, cluster_ids):
         onehot = np.eye(self.k, dtype=self.dtype)[cluster_ids]
@@ -368,9 +368,7 @@ def cluster_dataset(
         # the first event's input is the start value 0
         out["norm_delta"][c, 1:n_ev] = normalize_deltas(raw[:-1], norm_params[c])
         if vocabs[c] is not None:
-            out["label"][c, :n_ev] = [
-                model.shared_label(i, c) for i in vocabs[c].encode_output(raw)
-            ]
+            out["label"][c, :n_ev] = model.shared_label(vocabs[c].encode_output(raw), c)
         out["delta_raw"][c, :n_ev] = raw
         out["target_index"][c, :n_ev] = idx[1:]
         out["timestep"][c, :n_ev] = idx[:-1]

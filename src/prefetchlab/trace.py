@@ -1,5 +1,9 @@
 """Memory access traces, miss streams and synthetic trace generators.
 
+A trace is an (n, 2) uint64 array of (pc, addr) rows, one per access in
+program order; a miss stream is the same data as columns, one row per
+miss.
+
 File format
 -----------
 8-byte magic ``PFTRACE1`` followed by fixed-width 16-byte records, each a
@@ -13,7 +17,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,13 +25,6 @@ from .errors import ConfigError, TraceFormatError
 TRACE_MAGIC = b"PFTRACE1"
 _RECORD_BYTES = 16
 _MASK64 = (1 << 64) - 1
-
-
-class TraceRecord(NamedTuple):
-    """One dynamic memory access: instruction address and data address."""
-
-    pc: int
-    addr: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +60,15 @@ def signed_delta(line_a: int, line_b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_pairs(path, pairs: np.ndarray) -> None:
+def write_trace(pairs: np.ndarray, path) -> None:
+    """Write the (n, 2) (pc, addr) rows of `pairs` after the magic."""
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         pairs.astype("<u8", copy=False).tofile(f)
 
 
-def _read_pairs(path) -> np.ndarray:
-    """The (n, 2) uint64 records of a file written by `_write_pairs`."""
+def read_trace(path) -> np.ndarray:
+    """The (n, 2) uint64 records of a file written by `write_trace`."""
     with open(path, "rb") as f:
         magic = f.read(len(TRACE_MAGIC))
         if magic != TRACE_MAGIC:
@@ -85,22 +82,14 @@ def _read_pairs(path) -> np.ndarray:
         return np.fromfile(f, dtype="<u8").reshape(-1, 2)
 
 
-def write_trace(records: Sequence[TraceRecord], path) -> None:
-    _write_pairs(path, np.array(records, dtype=np.uint64).reshape(-1, 2))
-
-
-def read_trace(path) -> list[TraceRecord]:
-    return list(map(TraceRecord._make, _read_pairs(path).tolist()))
-
-
 def write_miss_trace(misses: MissStream, path) -> None:
-    _write_pairs(path, np.column_stack((misses.pc, misses.addr)))
+    write_trace(np.column_stack((misses.pc, misses.addr)), path)
 
 
 def read_miss_trace(path, line_size: int = 64) -> MissStream:
     """Load a miss stream written by `write_miss_trace`; `line_size` must
     match the simulation that produced the file."""
-    return MissStream.from_pairs(_read_pairs(path), line_size)
+    return MissStream.from_pairs(read_trace(path), line_size)
 
 
 def _line_shift(line_size: int) -> int:
@@ -234,8 +223,9 @@ SyntheticSpec = (
 )
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[TraceRecord]:
-    """Generate a trace from `spec`; bit-identical for identical specs."""
+def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:
+    """Generate an (n, 2) uint64 (pc, addr) trace from `spec`; bit-identical
+    for identical specs. Addresses wrap modulo 2^64."""
     if spec.length < 0:
         raise ConfigError("length must be non-negative")
     if isinstance(spec, StrideSpec):
@@ -251,14 +241,22 @@ def generate_synthetic(spec: SyntheticSpec) -> list[TraceRecord]:
     raise ConfigError(f"unknown synthetic spec type: {type(spec).__name__}")
 
 
-def _gen_stride(spec: StrideSpec) -> list[TraceRecord]:
-    return [
-        TraceRecord(spec.pc, (spec.start + i * spec.stride) & _MASK64)
-        for i in range(spec.length)
-    ]
+def _u64(values) -> np.ndarray:
+    """uint64 array of Python ints taken modulo 2^64."""
+    return np.array([v & _MASK64 for v in values], dtype=np.uint64)
 
 
-def _gen_multi_stride(spec: MultiStrideSpec) -> list[TraceRecord]:
+def _pairs(pcs, which: np.ndarray, addr: np.ndarray) -> np.ndarray:
+    """(n, 2) rows of (pcs[which[i]], addr[i])."""
+    return np.column_stack((np.array(pcs, dtype=np.uint64)[which], addr))
+
+
+def _gen_stride(spec: StrideSpec) -> np.ndarray:
+    addr = np.arange(spec.length, dtype=np.uint64) * _u64([spec.stride]) + _u64([spec.start])
+    return _pairs([spec.pc], np.zeros(spec.length, dtype=np.intp), addr)
+
+
+def _gen_multi_stride(spec: MultiStrideSpec) -> np.ndarray:
     n = len(spec.strides)
     if n == 0:
         raise ConfigError("multi-stride needs at least one stream")
@@ -266,36 +264,33 @@ def _gen_multi_stride(spec: MultiStrideSpec) -> list[TraceRecord]:
     pcs = spec.pcs if spec.pcs is not None else tuple(0x400000 + 4 * i for i in range(n))
     if len(starts) != n or len(pcs) != n:
         raise ConfigError("strides, starts and pcs must have equal lengths")
-    pos = list(starts)
-    out = []
-    for i in range(spec.length):
-        j = i % n
-        out.append(TraceRecord(pcs[j], pos[j] & _MASK64))
-        pos[j] += spec.strides[j]
-    return out
+    # streams are scheduled one access at a time: access i is stream i % n's
+    # (i // n)-th
+    i = np.arange(spec.length, dtype=np.uint64)
+    j = (i % np.uint64(n)).astype(np.intp)
+    addr = _u64(starts)[j] + i // np.uint64(n) * _u64(spec.strides)[j]
+    return _pairs(pcs, j, addr)
 
 
-def _schedule_runs(n_choices: int, length: int, run_length: int, selection: str, seed: int):
-    """Yield a choice index per step, in runs of run_length consecutive steps."""
+def _schedule_runs(
+    n_choices: int, length: int, run_length: int, selection: str, seed: int
+) -> np.ndarray:
+    """A choice index per step, in runs of run_length consecutive steps."""
     if run_length < 1:
         raise ConfigError("run_length must be >= 1")
     if selection not in ("round_robin", "random"):
         raise ConfigError(f"unknown selection mode: {selection!r}")
-    rng = random.Random(seed)
-    step = 0
-    run = 0
-    while step < length:
-        if selection == "round_robin":
-            choice = run % n_choices
-        else:
-            choice = rng.randrange(n_choices)
-        for _ in range(min(run_length, length - step)):
-            yield choice
-            step += 1
-        run += 1
+    n_runs = -(-length // run_length)
+    if selection == "round_robin":
+        runs = np.arange(n_runs) % n_choices
+    else:
+        rng = random.Random(seed)
+        runs = np.array([rng.randrange(n_choices) for _ in range(n_runs)], dtype=np.intp)
+    # a run longer than the trace is one run (and keeps the divisor an int64)
+    return runs[np.arange(length) // min(run_length, max(length, 1))]
 
 
-def _gen_pc_correlated(spec: PcCorrelatedSpec) -> list[TraceRecord]:
+def _gen_pc_correlated(spec: PcCorrelatedSpec) -> np.ndarray:
     if (spec.cycles is None) == (spec.table is None):
         raise ConfigError("configure exactly one of cycles or table+shifts")
     if spec.table is not None:
@@ -314,25 +309,23 @@ def _gen_pc_correlated(spec: PcCorrelatedSpec) -> list[TraceRecord]:
     if len(pcs) != n_pcs:
         raise ConfigError("pcs length must match the number of configured PCs")
 
-    addr = spec.start
-    out = []
-    if spec.cycles is not None:
-        cursor = [0] * n_pcs
-        for p in _schedule_runs(n_pcs, spec.length, spec.run_length, spec.selection, spec.seed):
-            out.append(TraceRecord(pcs[p], addr & _MASK64))
-            addr += spec.cycles[p][cursor[p]]
-            cursor[p] = (cursor[p] + 1) % len(spec.cycles[p])
-    else:
-        j = 0
+    which = _schedule_runs(n_pcs, spec.length, spec.run_length, spec.selection, spec.seed)
+    if spec.table is not None:
         d = len(spec.table)
-        for p in _schedule_runs(n_pcs, spec.length, spec.run_length, spec.selection, spec.seed):
-            out.append(TraceRecord(pcs[p], addr & _MASK64))
-            j = (j + spec.shifts[p]) % d
-            addr += spec.table[j]
-    return out
+        steps = _u64(spec.table)[np.cumsum(np.array([s % d for s in spec.shifts])[which]) % d]
+        # the address before each step: start plus the steps taken so far
+        return _pairs(pcs, which, np.cumsum(steps) - steps + _u64([spec.start]))
+    addr = np.empty(spec.length, dtype=np.uint64)
+    a = spec.start
+    cursor = [0] * n_pcs
+    for t, p in enumerate(which.tolist()):
+        addr[t] = a & _MASK64
+        a += spec.cycles[p][cursor[p]]
+        cursor[p] = (cursor[p] + 1) % len(spec.cycles[p])
+    return _pairs(pcs, which, addr)
 
 
-def _gen_region_hopping(spec: RegionHoppingSpec) -> list[TraceRecord]:
+def _gen_region_hopping(spec: RegionHoppingSpec) -> np.ndarray:
     n = len(spec.deltas)
     if n == 0:
         raise ConfigError("need at least one region")
@@ -354,22 +347,22 @@ def _gen_region_hopping(spec: RegionHoppingSpec) -> list[TraceRecord]:
             "trace could drift across regions: shrink length/deltas or spread bases"
         )
 
+    which = _schedule_runs(n, spec.length, spec.run_length, spec.selection, spec.seed)
     rng = random.Random(spec.seed ^ 0x5EED)
     pos = list(bases)
-    out = []
-    for r in _schedule_runs(n, spec.length, spec.run_length, spec.selection, spec.seed):
-        out.append(TraceRecord(pcs[r], pos[r] & _MASK64))
+    addr = np.empty(spec.length, dtype=np.uint64)
+    for t, r in enumerate(which.tolist()):
+        addr[t] = pos[r] & _MASK64
         pos[r] += rng.choice(spec.deltas[r])
-    return out
+    return _pairs(pcs, which, addr)
 
 
-def _gen_linked_list(spec: LinkedListSpec) -> list[TraceRecord]:
+def _gen_linked_list(spec: LinkedListSpec) -> np.ndarray:
     if spec.nodes < 1:
         raise ConfigError("need at least one node")
     rng = random.Random(spec.seed)
     order = list(range(spec.nodes))
     rng.shuffle(order)
-    return [
-        TraceRecord(spec.pc, (spec.base + order[i % spec.nodes] * spec.node_size) & _MASK64)
-        for i in range(spec.length)
-    ]
+    nodes = np.resize(np.array(order, dtype=np.uint64), spec.length)
+    addr = nodes * _u64([spec.node_size]) + _u64([spec.base])
+    return _pairs([spec.pc], np.zeros(spec.length, dtype=np.intp), addr)

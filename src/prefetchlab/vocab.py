@@ -6,18 +6,19 @@ t runs from miss t to miss t+1, and the PC of miss t is its context. Line
 granularity (not bytes) is used throughout, since a prefetch only has to
 land in the right line.
 
-Class IDs are dense and 0-based. Ordering is by descending frequency with
-ties broken by ascending delta value, which makes vocabularies a pure
-function of the corpus. The input side keeps every delta above a count
-threshold; the output side is the top `max_output` slice of the input
-side, so output classes are always a subset of input classes. Each side
-has one extra reserved ID (`oov_input` / `oov_output`) for everything else.
+A vocabulary is a pair of ranked arrays: the distinct values seen in the
+training corpus and their counts, ordered by descending count with ties
+broken by ascending value, which makes it a pure function of the corpus.
+Class ID i is the i-th ranked value, so IDs are dense and 0-based. The
+input side keeps the prefix of values at or above a count threshold; the
+output side is the top `max_output` slice of the input side, so output
+classes are always a subset of input classes. Each side has one extra
+reserved ID (`oov_input` / `oov_output`) for everything else.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,64 +35,53 @@ def compute_deltas(lines: np.ndarray) -> np.ndarray:
     return np.diff(lines).view(np.int64)
 
 
-def _encode(ids: dict, values: np.ndarray, oov: int) -> np.ndarray:
-    get = ids.get
-    return np.array([get(v, oov) for v in np.asarray(values).tolist()], dtype=np.int64)
+def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct `values` and their counts, by count desc, then value asc."""
+    values, counts = np.unique(values, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return values[order], counts[order]
 
 
-def _ranked(counts: Counter) -> list[tuple[int, int]]:
-    """(delta, count) pairs sorted by count desc, then delta asc."""
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+def _encode(classes: np.ndarray, values, oov: int) -> np.ndarray:
+    """int64 ID of each value: its index in the distinct `classes`, or `oov`."""
+    values = np.asarray(values, dtype=classes.dtype)
+    if not len(classes):
+        return np.full(len(values), oov, dtype=np.int64)
+    order = np.argsort(classes)
+    ids = order[np.searchsorted(classes, values, sorter=order).clip(max=len(classes) - 1)]
+    return np.where(classes[ids] == values, ids, oov)
 
 
 class DeltaVocab:
-    """Bidirectional delta <-> class-ID mapping with frequency counts."""
+    """Delta <-> class-ID mapping: input ID i and output ID i are `deltas[i]`."""
 
-    def __init__(self, counts: Counter, max_output: int, min_input_count: int):
+    def __init__(self, deltas: np.ndarray, counts: np.ndarray, max_output: int,
+                 min_input_count: int):
         if max_output < 1 or min_input_count < 1:
             raise DataError("max_output and min_input_count must be >= 1")
-        self.counts = Counter(counts)
+        self.deltas = deltas
+        self.counts = counts
         self.max_output = max_output
         self.min_input_count = min_input_count
-
-        eligible = [(d, c) for d, c in _ranked(self.counts) if c >= min_input_count]
-        self.input_classes = [(d, i) for i, (d, _) in enumerate(eligible)]
-        self.output_classes = self.input_classes[:max_output]
-        self._input_id = {d: i for d, i in self.input_classes}
-        self._output_id = {d: i for d, i in self.output_classes}
-
-    # Reserved IDs sit one past the dense class ranges.
-    @property
-    def n_input(self) -> int:
-        return len(self.input_classes)
-
-    @property
-    def n_output(self) -> int:
-        return len(self.output_classes)
-
-    @property
-    def oov_input(self) -> int:
-        return self.n_input
-
-    @property
-    def oov_output(self) -> int:
-        return self.n_output
+        self.n_input = int(np.count_nonzero(counts >= min_input_count))
+        self.n_output = min(self.n_input, max_output)
+        # reserved IDs sit one past the dense class ranges
+        self.oov_input, self.oov_output = self.n_input, self.n_output
 
     def encode_input(self, deltas: np.ndarray) -> np.ndarray:
-        return _encode(self._input_id, deltas, self.oov_input)
+        return _encode(self.deltas[: self.n_input], deltas, self.oov_input)
 
     def encode_output(self, deltas: np.ndarray) -> np.ndarray:
-        return _encode(self._output_id, deltas, self.oov_output)
+        return _encode(self.deltas[: self.n_output], deltas, self.oov_output)
 
     def output_deltas(self) -> list[int]:
         """Lookup list from output class ID to delta."""
-        return [d for d, _ in self.output_classes]
+        return self.deltas[: self.n_output].tolist()
 
     def output_coverage(self) -> float:
         """Fraction of total delta mass representable by the output classes."""
-        total = sum(self.counts.values())
-        covered = sum(self.counts[d] for d, _ in self.output_classes)
-        return covered / total if total else 0.0
+        total = int(self.counts.sum())
+        return int(self.counts[: self.n_output].sum()) / total if total else 0.0
 
 
 def build_vocab(
@@ -100,33 +90,26 @@ def build_vocab(
     """Build input/output vocabularies from a delta stream."""
     if len(deltas) == 0:
         raise DataError("cannot build a vocabulary from an empty delta stream")
-    return DeltaVocab(Counter(np.asarray(deltas).tolist()), max_output, min_input_count)
+    return DeltaVocab(*_rank(np.asarray(deltas, dtype=np.int64)), max_output, min_input_count)
 
 
 class PcVocab:
-    """Dense IDs for PCs seen in training, ordered like DeltaVocab."""
+    """Dense IDs for PCs seen in training, ranked like DeltaVocab: ID i is
+    `pcs[i]`, and `oov` is one past the last."""
 
-    def __init__(self, counts: Counter):
-        self.counts = Counter(counts)
-        self._id = {pc: i for i, (pc, _) in enumerate(_ranked(self.counts))}
-
-    @property
-    def n_pcs(self) -> int:
-        return len(self._id)
-
-    @property
-    def oov(self) -> int:
-        return self.n_pcs
+    def __init__(self, pcs: np.ndarray):
+        self.pcs = pcs
+        self.n_pcs = self.oov = len(pcs)
 
     def encode(self, pcs: np.ndarray) -> np.ndarray:
-        return _encode(self._id, pcs, self.oov)
+        return _encode(self.pcs, pcs, self.oov)
 
 
 def build_pc_vocab(pcs: np.ndarray) -> PcVocab:
     """PC vocabulary over an array of PC values."""
     if len(pcs) == 0:
         raise DataError("cannot build a PC vocabulary from an empty stream")
-    return PcVocab(Counter(np.asarray(pcs).tolist()))
+    return PcVocab(_rank(np.asarray(pcs, dtype=np.uint64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +128,8 @@ class CoverageStats:
 
 
 def mass_prefix_length(counts, fraction: float = 0.5) -> int:
-    """Minimum prefix of the frequency-sorted counts (a Counter or an array)
-    whose mass is >= fraction; ties cannot change its length."""
-    if isinstance(counts, Counter):
-        counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    """Minimum prefix of the frequency-sorted counts whose mass is
+    >= fraction; ties cannot change its length."""
     mass = np.cumsum(np.sort(counts)[::-1])
     if len(mass) == 0 or mass[-1] == 0:
         return 0
@@ -179,12 +160,21 @@ def coverage_stats(misses: MissStream, deltas: np.ndarray) -> CoverageStats:
 
 VOCAB_MAGIC = b"PFVOCAB1"
 _VOCAB_HEADER = struct.Struct("<IQQQ")  # version, max_output, min_input_count, n_entries
-_VOCAB_ENTRY = struct.Struct("<qQq")  # delta, count, input class id (-1 below threshold)
+# delta, count, input class id (-1 below threshold)
+_VOCAB_ENTRY = np.dtype([("delta", "<i8"), ("count", "<u8"), ("id", "<i8")])
 VOCAB_VERSION = 1
 
 
+def _entries(vocab: DeltaVocab) -> np.ndarray:
+    entries = np.empty(len(vocab.deltas), dtype=_VOCAB_ENTRY)
+    entries["delta"], entries["count"] = vocab.deltas, vocab.counts
+    ids = np.arange(len(entries))
+    entries["id"] = np.where(ids < vocab.n_input, ids, -1)
+    return entries
+
+
 def save_vocab(vocab: DeltaVocab, path) -> None:
-    """Versioned flat file: header then (delta, count, class_id) triples.
+    """Versioned flat file: header then ranked (delta, count, class_id) triples.
 
     All observed deltas are stored (sub-threshold ones with class_id -1) so
     that a reload rebuilds the identical vocabulary and full counts.
@@ -193,14 +183,15 @@ def save_vocab(vocab: DeltaVocab, path) -> None:
         f.write(VOCAB_MAGIC)
         f.write(
             _VOCAB_HEADER.pack(
-                VOCAB_VERSION, vocab.max_output, vocab.min_input_count, len(vocab.counts)
+                VOCAB_VERSION, vocab.max_output, vocab.min_input_count, len(vocab.deltas)
             )
         )
-        for delta, count in _ranked(vocab.counts):
-            f.write(_VOCAB_ENTRY.pack(delta, count, vocab._input_id.get(delta, -1)))
+        _entries(vocab).tofile(f)
 
 
 def load_vocab(path) -> DeltaVocab:
+    """The vocabulary of a file written by `save_vocab`. Entries are ranked
+    again from their counts, and the stored class ids must match."""
     with open(path, "rb") as f:
         magic = f.read(len(VOCAB_MAGIC))
         if magic != VOCAB_MAGIC:
@@ -210,15 +201,13 @@ def load_vocab(path) -> DeltaVocab:
         )
         if version != VOCAB_VERSION:
             raise TraceFormatError(f"{path}: unsupported vocab version {version}")
-        entries = read_exact(f, n * _VOCAB_ENTRY.size, path)
-    counts = Counter()
-    expected_ids = {}
-    for delta, count, class_id in _VOCAB_ENTRY.iter_unpack(entries):
-        counts[delta] = count
-        if class_id >= 0:
-            expected_ids[delta] = class_id
-    vocab = DeltaVocab(counts, max_output, min_count)
-    if vocab._input_id != expected_ids:
+        stored = np.frombuffer(read_exact(f, n * _VOCAB_ENTRY.itemsize, path), _VOCAB_ENTRY)
+    deltas, counts = stored["delta"], stored["count"].astype(np.int64)
+    ascending = np.sort(deltas)
+    if np.any(ascending[1:] == ascending[:-1]):
+        raise TraceFormatError(f"{path}: a delta is stored twice")
+    order = np.lexsort((deltas, -counts))
+    vocab = DeltaVocab(deltas[order], counts[order], max_output, min_count)
+    if not np.array_equal(stored["id"][order], _entries(vocab)["id"]):
         raise TraceFormatError(f"{path}: stored class ids do not match counts")
     return vocab
-

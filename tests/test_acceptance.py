@@ -30,8 +30,7 @@ def report(name, ok, detail):
 
 
 def misses_for(spec):
-    records = trace.generate_synthetic(spec)
-    misses, _ = cachesim.simulate(records, BROADWELL)
+    misses, _ = cachesim.simulate(trace.generate_synthetic(spec), BROADWELL)
     return misses
 
 
@@ -133,11 +132,11 @@ def test_02_cell_matches_scalar_oracle():
 # ---------------------------------------------------------------------------
 
 
-def oracle_misses(records, sets, ways, line_size):
+def oracle_misses(addrs, sets, ways, line_size):
     lists = [[] for _ in range(sets)]
     out = []
-    for t, r in enumerate(records):
-        line = r.addr // line_size
+    for t, addr in enumerate(addrs):
+        line = addr // line_size
         s = line % sets
         bucket = lists[s]
         if line in bucket:
@@ -160,7 +159,8 @@ def test_03_cache_simulator_oracle():
         n_lines = int(rng.integers(1, 17))
         length = int(rng.integers(1, 1001))
         lines = rng.integers(0, n_lines, size=length)
-        records = [trace.TraceRecord(0x400, int(l) * 64) for l in lines]
+        addrs = [int(l) * 64 for l in lines]
+        pairs = np.array([(0x400, addr) for addr in addrs], dtype=np.uint64).reshape(-1, 2)
         cfg = cachesim.HierarchyConfig(
             levels=(
                 cachesim.CacheLevelConfig(
@@ -169,8 +169,8 @@ def test_03_cache_simulator_oracle():
             ),
             miss_emit_level=0,
         )
-        misses, stats = cachesim.simulate(records, cfg)
-        expect = oracle_misses(records, sets, ways, 64)
+        misses, stats = cachesim.simulate(pairs, cfg)
+        expect = oracle_misses(addrs, sets, ways, 64)
         got = misses.line.tolist()
         assert got == [line for _, line in expect], (
             f"sets={sets} ways={ways}: miss streams differ"

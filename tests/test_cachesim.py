@@ -11,7 +11,7 @@ from prefetchlab.cachesim import (
 )
 from prefetchlab.cli import hierarchy_from_config
 from prefetchlab.errors import ConfigError, DataError
-from prefetchlab.trace import StrideSpec, TraceRecord, generate_synthetic
+from prefetchlab.trace import StrideSpec, generate_synthetic
 
 
 class LruStackOracle:
@@ -36,6 +36,12 @@ class LruStackOracle:
         return False
 
 
+def sweeps(n_lines, n_sweeps):
+    """Trace of `n_sweeps` passes over lines 0..n_lines-1, one PC."""
+    addr = np.tile(np.arange(n_lines, dtype=np.uint64) * np.uint64(64), n_sweeps)
+    return np.column_stack((np.ones_like(addr), addr))
+
+
 def test_single_level_matches_lru_oracle():
     # random traces over small caches; oracle decides hit/miss per access
     rng = random.Random(2024)
@@ -47,16 +53,16 @@ def test_single_level_matches_lru_oracle():
         hier = HierarchyConfig(levels=(cfg,))
         n_lines = rng.randrange(1, 17)
         trace = [
-            TraceRecord(rng.randrange(8), rng.randrange(n_lines) * line + rng.randrange(line))
+            (rng.randrange(8), rng.randrange(n_lines) * line + rng.randrange(line))
             for _ in range(rng.randrange(1, 400))
         ]
         oracle = LruStackOracle(cfg.capacity, ways, line)
-        expected = [t for t, rec in enumerate(trace) if not oracle.access(rec.addr)]
-        misses, stats = simulate(trace, hier)
+        expected = [t for t, (_, addr) in enumerate(trace) if not oracle.access(addr)]
+        misses, stats = simulate(np.array(trace, dtype=np.uint64), hier)
         assert len(misses) == len(expected)
-        assert misses.pc.tolist() == [trace[t].pc for t in expected]
-        assert misses.addr.tolist() == [trace[t].addr for t in expected]
-        assert misses.line.tolist() == [trace[t].addr // line for t in expected]
+        assert misses.pc.tolist() == [trace[t][0] for t in expected]
+        assert misses.addr.tolist() == [trace[t][1] for t in expected]
+        assert misses.line.tolist() == [trace[t][1] // line for t in expected]
         assert all(col.dtype == np.uint64 for col in (misses.pc, misses.addr, misses.line))
         assert stats.levels[0].accesses == len(trace)
         assert stats.levels[0].hits + stats.levels[0].misses == len(trace)
@@ -89,8 +95,7 @@ def test_stats_check_raises_on_doctored_counters():
 
 def test_multi_level_small_working_set_hits_upper_levels():
     # 8 lines fit in L1, so after the first pass everything hits at level 0
-    lines = [TraceRecord(1, i * 64) for i in range(8)]
-    trace = lines * 50
+    trace = sweeps(8, 50)
     misses, stats = simulate(trace, default_broadwell_config())
     assert len(misses) == 8
     assert stats.levels[0].hits == len(trace) - 8
@@ -101,8 +106,7 @@ def test_multi_level_small_working_set_hits_upper_levels():
 def test_working_set_between_levels():
     # fits in L2 (4096 lines) but not L1 (512 lines): L1 thrashes, L2 absorbs
     n = 1024
-    lines = [TraceRecord(1, i * 64) for i in range(n)]
-    trace = lines * 4
+    trace = sweeps(n, 4)
     misses, stats = simulate(trace, default_broadwell_config())
     assert len(misses) == n  # only cold misses reach the LLC
     assert stats.levels[0].hits == 0  # round-robin sweep defeats LRU at L1
@@ -110,8 +114,7 @@ def test_working_set_between_levels():
 
 
 def test_miss_emit_level_selects_level():
-    lines = [TraceRecord(1, i * 64) for i in range(1024)]
-    trace = lines * 2
+    trace = sweeps(1024, 2)
     cfg = default_broadwell_config()
     l1_cfg = HierarchyConfig(levels=cfg.levels, miss_emit_level=0)
     misses_l1, _ = simulate(trace, l1_cfg)
@@ -140,14 +143,21 @@ def test_level_config_validation():
         CacheLevelConfig(capacity=1024, associativity=0)
     for cache, names in [
         ("skylake", ("skylake",)),
-        ({"levels": [{"capacity": 1024, "associativity": 2, "ways": 4}]}, ("'ways'",)),
+        ({"levels": [{"capacity": 1024, "associativity": 2, "ways": 4}]},
+         ("cache.levels[0].ways",)),
         ({"miss_emit_level": 0}, ("levels",)),
-        ({"levels": [{"capacity": "x", "associativity": 2}]}, ("'capacity': 'x'",)),
-        ({"levels": [{"capacity": 1024}]}, ("'associativity'",)),
+        ({"levels": [{"capacity": "x", "associativity": 2}]},
+         ("cache.levels[0].capacity", "'x'")),
+        ({"levels": [{"capacity": 1024}]}, ("cache.levels[0].associativity",)),
         ({"levels": [], "miss_emit_level": 0}, ("at least one level",)),
-        ({"levels": [{"capacity": 1024, "associativity": 2}], "emit": 0}, ("'emit'",)),
+        ({"levels": [{"capacity": 1024, "associativity": 2}], "emit": 0}, ("cache.emit",)),
         ({"levels": [{"capacity": 1024, "associativity": 2}], "miss_emit_level": "x"},
-         ("'miss_emit_level': 'x'",)),
+         ("cache.miss_emit_level", "'x'")),
+        ({"levels": [{"capacity": 1024, "associativity": 8.0}]},
+         ("cache.levels[0].associativity", "8.0")),
+        ({"levels": [{"capacity": 1024, "associativity": 2}, 3]}, ("cache.levels[1]", "3")),
+        ({"levels": [{"capacity": 1024, "associativity": 2}], "miss_emit_level": True},
+         ("cache.miss_emit_level", "True")),
     ]:
         with pytest.raises(ConfigError) as err:
             hierarchy_from_config({"cache": cache})

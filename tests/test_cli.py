@@ -101,6 +101,18 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("trace: {kind: multi_stride, length: 10, strides: [64, x]}\n", ("trace.strides",)),
         ("trace: {kind: stride, length: 10, strid: 8}\n", ("trace.strid",)),
         ("trace: [stride, 10]\n", ("trace must be a mapping",)),
+        ("cache: {levels: [{capacity: 32768, associativity: 8.0}]}\n",
+         ("cache.levels[0].associativity", "8.0")),
+        ("cache: {levels: [{capacity: 32768, associativity: 8}, "
+         "{capacity: 262144, associativity: 8}], miss_emit_level: true}\n",
+         ("cache.miss_emit_level", "True")),
+        ("cache: {levels: [{capacity: 32768, associativity: 8}], miss_emit_level: 0.0}\n",
+         ("cache.miss_emit_level", "0.0")),
+        ("trace: {kind: stride, length: 200, pc: -1}\n", ("trace.pc", "-1")),
+        ("trace: {kind: stride, length: 200, pc: 18446744073709551616}\n",
+         ("trace.pc", "18446744073709551616")),
+        ("trace: {kind: region_hopping, length: 200, pcs: [-4, 8, 12]}\n",
+         ("trace.pcs", "[-4, 8, 12]")),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
@@ -110,7 +122,9 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          "baselines_string", "split_one", "split_string", "type_unknown", "modality_unknown",
          "optimizer_unknown", "trace_length_string", "trace_stride_string",
          "trace_length_float", "trace_strides_item_string", "trace_unknown_key",
-         "trace_not_a_mapping"],
+         "trace_not_a_mapping", "cache_associativity_float", "cache_emit_level_bool",
+         "cache_emit_level_float", "trace_pc_negative", "trace_pc_too_large",
+         "trace_pcs_negative"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"

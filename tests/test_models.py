@@ -234,6 +234,7 @@ def test_cluster_shared_label_mapping():
     assert model.shared_label(2, 0) == model.oov_label  # cluster-0 OOV id is 2
     assert model.shared_label(4, 1) == 4
     assert model.shared_label(5, 1) == model.oov_label
+    assert model.shared_label(np.array([0, 1, 2]), 0).tolist() == [0, 1, model.oov_label]
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,8 @@ def test_build_cluster_vocabs_train_only():
     assignments = np.array([0, 0, 0, 1, 1, 0])
     vocabs = build_cluster_vocabs(misses, assignments, train_len=5, min_input_count=1)
     # cluster 0 train deltas: 1, 2 (the delta 3->6 has its target at index 5)
-    assert sorted(d for d, _ in vocabs[0].input_classes) == [1, 2]
-    assert sorted(d for d, _ in vocabs[1].input_classes) == [2]
+    assert sorted(vocabs[0].deltas[: vocabs[0].n_input].tolist()) == [1, 2]
+    assert sorted(vocabs[1].deltas[: vocabs[1].n_input].tolist()) == [2]
 
 
 def test_build_cluster_vocabs_empty_cluster():
@@ -479,7 +480,7 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
     through a class-id -> delta dict, `vocabs` holding one vocab per row."""
     from prefetchlab.eval import PredictionSet
 
-    decode = [None if v is None else {i: d for d, i in v.output_classes} for v in vocabs]
+    decode = [None if v is None else dict(enumerate(v.output_deltas())) for v in vocabs]
     if isinstance(model, ClusterPrefetcher):
         ds, length = dataset, dataset["length"]
     else:  # one row holding the whole stream

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from prefetchlab.trace import (
     PcCorrelatedSpec,
     RegionHoppingSpec,
     StrideSpec,
-    TraceRecord,
     generate_synthetic,
     read_miss_trace,
     read_trace,
@@ -24,8 +24,9 @@ from prefetchlab.trace import (
 MASK64 = (1 << 64) - 1
 
 
-def random_records(rng, n):
-    return [TraceRecord(rng.randrange(1 << 64), rng.randrange(1 << 64)) for _ in range(n)]
+def random_pairs(rng, n):
+    rows = [(rng.randrange(1 << 64), rng.randrange(1 << 64)) for _ in range(n)]
+    return np.array(rows, dtype=np.uint64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +69,23 @@ def reference_bytes(pairs):
 def test_trace_roundtrip(tmp_path):
     rng = random.Random(0)
     for trial in range(20):
-        records = random_records(rng, rng.randrange(0, 200))
+        pairs = random_pairs(rng, rng.randrange(0, 200))
         if trial == 1:
-            records = [TraceRecord(MASK64, 0), TraceRecord(0, MASK64), TraceRecord(1 << 63, 1)]
+            pairs = np.array([(MASK64, 0), (0, MASK64), (1 << 63, 1)], dtype=np.uint64)
         path = tmp_path / f"t{trial}.bin"
-        write_trace(records, path)
-        assert path.read_bytes() == reference_bytes(records)
-        assert read_trace(path) == records
+        write_trace(pairs, path)
+        assert path.read_bytes() == reference_bytes(pairs.tolist())
+        loaded = read_trace(path)
+        assert loaded.dtype == np.uint64 and loaded.shape == pairs.shape
+        assert np.array_equal(loaded, pairs)
 
 
 def test_trace_roundtrip_large_binary(tmp_path):
     rng = random.Random(1)
-    records = random_records(rng, 10_000)
+    pairs = random_pairs(rng, 10_000)
     path = tmp_path / "big.bin"
-    write_trace(records, path)
-    assert read_trace(path) == records
+    write_trace(pairs, path)
+    assert np.array_equal(read_trace(path), pairs)
 
 
 def test_binary_bad_magic(tmp_path):
@@ -95,9 +98,8 @@ def test_binary_bad_magic(tmp_path):
 
 
 def test_binary_truncated_record(tmp_path):
-    records = [TraceRecord(1, 2), TraceRecord(3, 4)]
     path = tmp_path / "trunc.bin"
-    write_trace(records, path)
+    write_trace(np.array([(1, 2), (3, 4)], dtype=np.uint64), path)
     data = path.read_bytes()
     # a partial third record of every length, and a cut inside the second
     for cut in [data + bytes(range(r)) for r in range(1, 16)] + [data[:-5]]:
@@ -111,7 +113,7 @@ def test_binary_truncated_record(tmp_path):
 def test_miss_trace_roundtrip(tmp_path):
     rng = random.Random(2)
     for trial, n in enumerate((0, 1, 50, 333)):
-        pairs = np.array(random_records(rng, n), dtype=np.uint64).reshape(-1, 2)
+        pairs = random_pairs(rng, n)
         if n:
             pairs[0] = (MASK64, MASK64)
         misses = MissStream.from_pairs(pairs, line_size=64)
@@ -134,10 +136,10 @@ def test_miss_trace_roundtrip(tmp_path):
 def test_stride_ground_truth():
     spec = StrideSpec(length=100, stride=192, start=0x8000, pc=0x77)
     trace = generate_synthetic(spec)
-    assert len(trace) == 100
-    for i, rec in enumerate(trace):
-        assert rec.pc == 0x77
-        assert rec.addr == 0x8000 + i * 192
+    assert trace.shape == (100, 2) and trace.dtype == np.uint64
+    for i, (pc, addr) in enumerate(trace.tolist()):
+        assert pc == 0x77
+        assert addr == 0x8000 + i * 192
 
 
 def test_multi_stride_ground_truth():
@@ -145,7 +147,7 @@ def test_multi_stride_ground_truth():
     trace = generate_synthetic(spec)
     # per-stream addresses are strided by the stream's own stride
     for j in range(3):
-        stream = [r.addr for r in trace if r.pc == 0x400000 + 4 * j]
+        stream = trace[trace[:, 0] == 0x400000 + 4 * j, 1].tolist()
         assert len(stream) == 20
         diffs = {b - a for a, b in zip(stream, stream[1:])}
         assert diffs == {spec.strides[j]}
@@ -160,10 +162,10 @@ def test_pc_correlated_cycles_ground_truth():
     cursor = [0, 0]
     run = 0
     step = 0
-    for rec in trace:
+    for pc, rec_addr in trace.tolist():
         p = run % 2
-        assert rec.pc == 0x400000 + 4 * p
-        assert rec.addr == addr
+        assert pc == 0x400000 + 4 * p
+        assert rec_addr == addr
         addr += cycles[p][cursor[p]]
         cursor[p] = (cursor[p] + 1) % len(cycles[p])
         step += 1
@@ -177,11 +179,11 @@ def test_pc_correlated_table_is_pair_deterministic():
     spec = PcCorrelatedSpec(
         length=5000, table=table, shifts=(1, 7, 13), selection="random", seed=3
     )
-    trace = generate_synthetic(spec)
-    deltas = [b.addr - a.addr for a, b in zip(trace, trace[1:])]
+    pcs, addrs = generate_synthetic(spec).T.tolist()
+    deltas = [b - a for a, b in zip(addrs, addrs[1:])]
     seen = {}
     for t in range(1, len(deltas)):
-        key = (trace[t].pc, deltas[t - 1])
+        key = (pcs[t], deltas[t - 1])
         if key in seen:
             assert seen[key] == deltas[t]
         seen[key] = deltas[t]
@@ -210,23 +212,23 @@ def test_region_hopping_structure():
         run_length=30,
         seed=11,
     )
-    trace = generate_synthetic(spec)
+    trace = generate_synthetic(spec).tolist()
     bases = tuple(spec.base_spacing * (i + 1) for i in range(3))
     for start in range(0, 900, 30):
         run = trace[start : start + 30]
         r = (start // 30) % 3
-        assert all(rec.pc == 0x400000 + 4 * r for rec in run)
-        for rec in run:
-            assert bases[r] <= rec.addr < bases[r] + spec.base_spacing // 2
-        for a, b in zip(run, run[1:]):
-            assert b.addr - a.addr in spec.deltas[r]
+        assert all(pc == 0x400000 + 4 * r for pc, _ in run)
+        for _, addr in run:
+            assert bases[r] <= addr < bases[r] + spec.base_spacing // 2
+        for (_, a), (_, b) in zip(run, run[1:]):
+            assert b - a in spec.deltas[r]
 
 
 def test_region_hopping_pointers_persist_across_visits():
     spec = RegionHoppingSpec(length=300, run_length=10, seed=2)
     trace = generate_synthetic(spec)
     for r in range(3):
-        addrs = [rec.addr for rec in trace if rec.pc == 0x400000 + 4 * r]
+        addrs = trace[trace[:, 0] == 0x400000 + 4 * r, 1].tolist()
         assert addrs == sorted(addrs)
         assert len(set(addrs)) == len(addrs)
 
@@ -241,13 +243,13 @@ def test_region_hopping_drift_guard():
 def test_linked_list_period_and_coverage():
     spec = LinkedListSpec(length=3 * 64, nodes=64, node_size=128, base=0x1000, seed=5)
     trace = generate_synthetic(spec)
-    first = [r.addr for r in trace[:64]]
+    first = trace[:64, 1].tolist()
     assert sorted(first) == [0x1000 + i * 128 for i in range(64)]
-    assert [r.addr for r in trace[64:128]] == first
-    assert [r.addr for r in trace[128:]] == first
+    assert trace[64:128, 1].tolist() == first
+    assert trace[128:, 1].tolist() == first
     # a different seed gives a different permutation
     other = generate_synthetic(LinkedListSpec(length=64, nodes=64, node_size=128, base=0x1000, seed=6))
-    assert [r.addr for r in other] != first
+    assert other[:, 1].tolist() != first
 
 
 def test_generators_deterministic():
@@ -259,9 +261,127 @@ def test_generators_deterministic():
         LinkedListSpec(length=64, seed=4),
     ]
     for spec in specs:
-        assert generate_synthetic(spec) == generate_synthetic(spec)
+        assert np.array_equal(generate_synthetic(spec), generate_synthetic(spec))
 
 
 def test_negative_length_rejected():
     with pytest.raises(ConfigError):
         generate_synthetic(StrideSpec(length=-1))
+
+
+# ---------------------------------------------------------------------------
+# Columnar generators against per-record oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_schedule(n_choices, length, run_length, selection, seed):
+    rng = random.Random(seed)
+    step = run = 0
+    while step < length:
+        choice = run % n_choices if selection == "round_robin" else rng.randrange(n_choices)
+        for _ in range(min(run_length, length - step)):
+            yield choice
+            step += 1
+        run += 1
+
+
+def default_pcs(spec, n):
+    return spec.pcs if spec.pcs is not None else tuple(0x400000 + 4 * i for i in range(n))
+
+
+def oracle_records(spec):
+    """The trace of `spec` built one (pc, addr) tuple at a time, with
+    Python ints masked to 64 bits: the generators' reference semantics."""
+    out = []
+    if isinstance(spec, StrideSpec):
+        out = [(spec.pc, (spec.start + i * spec.stride) & MASK64) for i in range(spec.length)]
+    elif isinstance(spec, MultiStrideSpec):
+        n = len(spec.strides)
+        pos = list(spec.starts if spec.starts is not None else [i << 40 for i in range(n)])
+        pcs = default_pcs(spec, n)
+        for i in range(spec.length):
+            out.append((pcs[i % n], pos[i % n] & MASK64))
+            pos[i % n] += spec.strides[i % n]
+    elif isinstance(spec, PcCorrelatedSpec):
+        n = len(spec.cycles) if spec.cycles is not None else len(spec.shifts)
+        pcs, addr, cursor, j = default_pcs(spec, n), spec.start, [0] * n, 0
+        for p in oracle_schedule(n, spec.length, spec.run_length, spec.selection, spec.seed):
+            out.append((pcs[p], addr & MASK64))
+            if spec.cycles is not None:
+                addr += spec.cycles[p][cursor[p]]
+                cursor[p] = (cursor[p] + 1) % len(spec.cycles[p])
+            else:
+                j = (j + spec.shifts[p]) % len(spec.table)
+                addr += spec.table[j]
+    elif isinstance(spec, RegionHoppingSpec):
+        n = len(spec.deltas)
+        pcs = default_pcs(spec, n)
+        pos = list(spec.bases if spec.bases is not None
+                   else [spec.base_spacing * (i + 1) for i in range(n)])
+        rng = random.Random(spec.seed ^ 0x5EED)
+        for r in oracle_schedule(n, spec.length, spec.run_length, spec.selection, spec.seed):
+            out.append((pcs[r], pos[r] & MASK64))
+            pos[r] += rng.choice(spec.deltas[r])
+    else:
+        order = list(range(spec.nodes))
+        random.Random(spec.seed).shuffle(order)
+        out = [(spec.pc, (spec.base + order[i % spec.nodes] * spec.node_size) & MASK64)
+               for i in range(spec.length)]
+    return out
+
+
+TOP = 1 << 63
+ORACLE_SPECS = {
+    "stride_negative": StrideSpec(length=301, stride=-192, start=-5, pc=3),
+    "stride_high": StrideSpec(length=97, stride=TOP + 64, start=MASK64 - 7, pc=MASK64),
+    "multi_stride_negative_high": MultiStrideSpec(
+        length=301, strides=(64, -128, TOP), starts=(-1, 5, TOP + 3), pcs=(1, MASK64, TOP)),
+    "cycles_random_runs": PcCorrelatedSpec(
+        length=777, cycles=((64, -128, 192), (TOP, 5)), run_length=7, selection="random",
+        seed=3, start=-100),
+    "table_random_runs": PcCorrelatedSpec(
+        length=5003, table=(64, -64, TOP, 7), shifts=(-1, 5, 1 << 70), run_length=3,
+        selection="random", seed=9, start=MASK64 - 2),
+    "table_round_robin": PcCorrelatedSpec(
+        length=2000, table=tuple(64 * (j + 1) for j in range(100)), shifts=(1, 17, 53)),
+    "regions_round_robin": RegionHoppingSpec(length=3000, run_length=32, seed=5),
+    "regions_random_high": RegionHoppingSpec(
+        length=1001, run_length=7, selection="random", seed=7,
+        bases=(-(1 << 50), TOP, MASK64 - (1 << 45)), deltas=((-64, 8), (128,), (1, 2, 3)),
+        pcs=(TOP, 0, MASK64)),
+    "linked_list_negative": LinkedListSpec(length=3000, nodes=100, node_size=-64, base=-5,
+                                           seed=4),
+    "linked_list_high": LinkedListSpec(length=200, nodes=3, node_size=TOP, base=TOP, pc=0),
+}
+for _length in (0, 1):
+    ORACLE_SPECS.update({
+        f"stride_{_length}": StrideSpec(length=_length),
+        f"multi_stride_{_length}": MultiStrideSpec(length=_length),
+        f"cycles_{_length}": PcCorrelatedSpec(length=_length, cycles=((64,),)),
+        f"table_{_length}": PcCorrelatedSpec(length=_length, table=(64,), shifts=(1,)),
+        f"regions_{_length}": RegionHoppingSpec(length=_length, selection="random"),
+        f"linked_list_{_length}": LinkedListSpec(length=_length),
+    })
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_generators_match_record_oracle(name):
+    spec = ORACLE_SPECS[name]
+    pairs = generate_synthetic(spec)
+    assert pairs.dtype == np.uint64 and pairs.shape == (spec.length, 2)
+    expected = np.array(oracle_records(spec), dtype=np.uint64).reshape(-1, 2)
+    assert np.array_equal(pairs, expected)
+
+
+def test_region_trace_memory_per_access():
+    # 30k accesses as uint64 columns take 16 B each; per-access Python
+    # objects would take ~100
+    spec = RegionHoppingSpec(length=30_000, run_length=32, seed=1)
+    tracemalloc.start()
+    try:
+        pairs = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 30_000
+    assert peak <= 64 * 30_000, peak / 30_000

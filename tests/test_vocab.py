@@ -1,4 +1,5 @@
 import random
+import struct
 from collections import Counter
 
 import numpy as np
@@ -60,14 +61,15 @@ def test_vocab_ordering_count_desc_delta_asc():
     deltas = [5] * 3 + [-2] * 3 + [7] * 2 + [1] * 3
     v = build_vocab(deltas, max_output=10, min_input_count=1)
     # counts: -2:3, 1:3, 5:3, 7:2 -> ties by ascending delta
-    assert v.input_classes == [(-2, 0), (1, 1), (5, 2), (7, 3)]
+    assert v.deltas[: v.n_input].tolist() == [-2, 1, 5, 7]
+    assert v.counts.tolist() == [3, 3, 3, 2]
 
 
 def test_vocab_output_is_prefix_of_input():
     rng = random.Random(7)
     deltas = [rng.randrange(-50, 50) for _ in range(5000)]
     v = build_vocab(deltas, max_output=10, min_input_count=3)
-    assert v.output_classes == v.input_classes[:10]
+    assert v.output_deltas() == v.deltas[: v.n_input].tolist()[:10]
     assert v.n_output == 10
     assert v.n_input >= v.n_output
 
@@ -99,14 +101,15 @@ def test_encode_decode_roundtrip():
     array = np.array(deltas, dtype=np.int64)
     assert np.array_equal(v.encode_output(array[:100]), ids)
     assert np.array_equal(v.encode_input(array), v.encode_input(deltas))
-    assert build_vocab(array, max_output=6, min_input_count=1).counts == v.counts
+    w = build_vocab(array, max_output=6, min_input_count=1)
+    assert np.array_equal(w.deltas, v.deltas) and np.array_equal(w.counts, v.counts)
 
 
 def test_empty_vocab_rejected():
     with pytest.raises(DataError):
         build_vocab([])
     with pytest.raises(DataError):
-        DeltaVocab(Counter({1: 5}), max_output=0, min_input_count=1)
+        DeltaVocab(np.array([1]), np.array([5]), max_output=0, min_input_count=1)
 
 
 def test_output_coverage_fraction():
@@ -129,21 +132,19 @@ def test_pc_vocab():
 
 
 def test_mass_prefix_uniform_ten():
-    counts = Counter({i: 7 for i in range(10)})
-    assert mass_prefix_length(counts) == 5
+    assert mass_prefix_length([7] * 10) == 5
 
 
 def test_mass_prefix_fifty_fifty():
-    counts = Counter({1: 500, 2: 500})
-    assert mass_prefix_length(counts) == 1
+    assert mass_prefix_length([500, 500]) == 1
 
 
 def test_mass_prefix_skewed():
-    counts = Counter({1: 90, 2: 5, 3: 5})
+    counts = np.array([5, 90, 5])
     assert mass_prefix_length(counts) == 1
     assert mass_prefix_length(counts, fraction=0.95) == 2
     assert mass_prefix_length(counts, fraction=1.0) == 3
-    assert mass_prefix_length(Counter()) == 0
+    assert mass_prefix_length(np.array([], dtype=np.int64)) == 0
 
 
 def test_coverage_stats_small_example():
@@ -172,8 +173,8 @@ def test_coverage_stats_small_example():
         assert stats.num_unique_pcs == len(set(pcs))
         assert stats.num_unique_addrs == len(line_counts)
         assert stats.num_unique_deltas == len(delta_counts)
-        assert stats.addrs_for_50pct_mass == mass_prefix_length(line_counts)
-        assert stats.deltas_for_50pct_mass == mass_prefix_length(delta_counts)
+        assert stats.addrs_for_50pct_mass == mass_prefix_length(list(line_counts.values()))
+        assert stats.deltas_for_50pct_mass == mass_prefix_length(list(delta_counts.values()))
         assert all(isinstance(x, int) for x in stats.__dict__.values())
 
 
@@ -196,9 +197,8 @@ def test_vocab_file_roundtrip(tmp_path):
     path = tmp_path / "v.bin"
     save_vocab(v, path)
     w = load_vocab(path)
-    assert w.counts == v.counts
-    assert w.input_classes == v.input_classes
-    assert w.output_classes == v.output_classes
+    assert np.array_equal(w.deltas, v.deltas) and np.array_equal(w.counts, v.counts)
+    assert (w.n_input, w.n_output) == (v.n_input, v.n_output)
     assert w.max_output == v.max_output
     assert w.min_input_count == v.min_input_count
 
@@ -217,3 +217,146 @@ def test_save_vocab_deterministic_bytes(tmp_path):
     save_vocab(v, p1)
     save_vocab(v, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Ranked arrays against the Counter/dict vocabulary
+# ---------------------------------------------------------------------------
+
+
+class OracleVocab:
+    """The vocabulary as a Counter and dicts of Python ints: the reference
+    for the ranked arrays."""
+
+    def __init__(self, counts, max_output, min_input_count):
+        self.counts = Counter(counts)
+        self.max_output, self.min_input_count = max_output, min_input_count
+        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        self.ranked = ranked
+        eligible = [d for d, c in ranked if c >= min_input_count]
+        self.input_id = {d: i for i, d in enumerate(eligible)}
+        self.output_id = {d: i for i, d in enumerate(eligible[:max_output])}
+
+    def encode(self, ids, values):
+        return [ids.get(v, len(ids)) for v in values]
+
+    def file_bytes(self):
+        out = b"PFVOCAB1" + struct.pack("<IQQQ", 1, self.max_output, self.min_input_count,
+                                        len(self.ranked))
+        for delta, count in self.ranked:
+            out += struct.pack("<qQq", delta, count, self.input_id.get(delta, -1))
+        return out
+
+
+def oracle_load(data):
+    """What the Counter/dict loader made of a vocab file: the vocabulary,
+    or None where it refused the stored class ids."""
+    _, max_output, min_count, n = struct.unpack("<IQQQ", data[8:36])
+    counts, expected = Counter(), {}
+    for delta, count, class_id in struct.iter_unpack("<qQq", data[36 : 36 + 24 * n]):
+        counts[delta] = count
+        if class_id >= 0:
+            expected[delta] = class_id
+    vocab = OracleVocab(counts, max_output, min_count)
+    return vocab if vocab.input_id == expected else None
+
+
+def oracle_corpora():
+    rng = random.Random(31)
+    extremes = [-(2**63), 2**63 - 1, 0, -1, 1]
+    for trial in range(12):
+        n = rng.randrange(1, 3000)
+        spread = rng.choice([3, 50, 2000])
+        deltas = [rng.randrange(-spread, spread) for _ in range(n)]
+        deltas += rng.sample(extremes, rng.randrange(0, 5)) * rng.randrange(1, 4)
+        rng.shuffle(deltas)
+        yield deltas, rng.choice([1, 2, 5, 50_000]), rng.choice([1, 2, 3, 10])
+
+
+def test_vocab_matches_counter_oracle(tmp_path):
+    rng = random.Random(8)
+    for trial, (deltas, max_output, min_count) in enumerate(oracle_corpora()):
+        v = build_vocab(np.array(deltas, dtype=np.int64), max_output, min_count)
+        oracle = OracleVocab(Counter(deltas), max_output, min_count)
+        assert (v.n_input, v.n_output) == (len(oracle.input_id), len(oracle.output_id))
+        assert v.output_deltas() == list(oracle.output_id)
+        assert v.output_coverage() == (
+            sum(oracle.counts[d] for d in oracle.output_id) / sum(oracle.counts.values()))
+        probe = deltas + [rng.randrange(-(2**63), 2**63) for _ in range(100)]
+        assert v.encode_input(probe).tolist() == oracle.encode(oracle.input_id, probe)
+        assert v.encode_output(probe).tolist() == oracle.encode(oracle.output_id, probe)
+        path = tmp_path / f"v{trial}.bin"
+        save_vocab(v, path)
+        assert path.read_bytes() == oracle.file_bytes()
+
+
+def test_pc_vocab_matches_counter_oracle():
+    rng = random.Random(9)
+    for _ in range(10):
+        pool = [rng.randrange(2**64) for _ in range(rng.randrange(1, 40))] + [0, 2**64 - 1]
+        pcs = [rng.choice(pool) for _ in range(rng.randrange(1, 500))]
+        v = build_pc_vocab(np.array(pcs, dtype=np.uint64))
+        oracle = OracleVocab(Counter(pcs), max_output=2**40, min_input_count=1)
+        assert v.n_pcs == len(oracle.input_id)
+        assert v.encode(np.array(pool, dtype=np.uint64)).tolist() == oracle.encode(
+            oracle.input_id, pool)
+
+
+def test_tampered_vocab_file_refused_like_counter_oracle(tmp_path):
+    rng = random.Random(4)
+    deltas = [rng.randrange(-30, 30) for _ in range(2000)]
+    path = tmp_path / "v.bin"
+    save_vocab(build_vocab(deltas, max_output=10, min_input_count=40), path)
+    data = path.read_bytes()
+    n = (len(data) - 36) // 24
+    entries = [list(e) for e in struct.iter_unpack("<qQq", data[36:])]
+    assert 2 < n and entries[0][2] == 0 and entries[-1][2] == -1
+
+    def tamper(change):
+        rows = [list(e) for e in entries]
+        change(rows)
+        return data[:36] + b"".join(struct.pack("<qQq", *row) for row in rows)
+
+    def swap_ids(rows):
+        rows[0][2], rows[1][2] = rows[1][2], rows[0][2]
+
+    def bump_last_count(rows):  # the rarest delta becomes the most frequent
+        rows[-1][1] = rows[0][1] + 1
+
+    def bump_first_count(rows):  # ranking unchanged
+        rows[0][1] += 1
+
+    def demote_first(rows):
+        rows[0][1] = 1
+
+    def shuffle(rows):
+        random.Random(1).shuffle(rows)
+
+    def reverse_deltas(rows):
+        for row, delta in zip(rows, [row[0] for row in rows][::-1]):
+            row[0] = delta
+
+    cases = [swap_ids, bump_last_count, bump_first_count, demote_first, shuffle,
+             reverse_deltas]
+    verdicts = []
+    for i, change in enumerate(cases):
+        tampered = tamper(change)
+        case = tmp_path / f"t{i}.bin"
+        case.write_bytes(tampered)
+        oracle = oracle_load(tampered)
+        verdicts.append(oracle is not None)
+        if oracle is None:
+            with pytest.raises(TraceFormatError, match="stored class ids do not match"):
+                load_vocab(case)
+            continue
+        v = load_vocab(case)
+        assert v.deltas.tolist() == [d for d, _ in oracle.ranked]
+        assert v.counts.tolist() == [c for _, c in oracle.ranked]
+        assert v.output_deltas() == list(oracle.output_id)
+    assert True in verdicts and False in verdicts
+
+    # a delta stored twice is refused (the dict loader kept the last entry)
+    case = tmp_path / "dup.bin"
+    case.write_bytes(tamper(lambda rows: rows[1].__setitem__(0, rows[0][0])))
+    with pytest.raises(TraceFormatError, match="stored twice"):
+        load_vocab(case)
