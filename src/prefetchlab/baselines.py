@@ -4,7 +4,11 @@ Both prefetchers consume the miss stream one event at a time through
 observe(pc, line) and return the delta set they would prefetch after that
 miss, which makes them directly comparable to the sequence models: the
 deltas returned at miss t are scored against the true delta t -> t+1.
-All deltas are in line units.
+All deltas are in line units and, like the labels (`trace.signed_delta`),
+64-bit two's-complement. A difference of two uint64 lines lies in
+(-2**64, 2**64), so one compare-and-adjust (`_wrap`) brings it into
+[-2**63, 2**63); the prefetchers skip it where no difference can leave
+that range, so the common case costs a comparison or two per miss.
 """
 
 from __future__ import annotations
@@ -16,6 +20,18 @@ from .errors import ConfigError
 from .eval import PredictionSet
 from .trace import MissStream
 from .vocab import compute_deltas
+
+_HALF = 1 << 63
+_WRAP = 1 << 64
+
+
+def _wrap(d: int) -> int:
+    """A difference of two uint64 values as a signed 64-bit value."""
+    if d >= _HALF:
+        return d - _WRAP
+    if d < -_HALF:
+        return d + _WRAP
+    return d
 
 
 class StreamPrefetcher:
@@ -36,8 +52,12 @@ class StreamPrefetcher:
 
     def observe(self, pc: int, line: int) -> tuple[int, ...]:
         match = None
+        lo, hi = line - self.window, line + self.window
+        # only a line this close to 0 or 2**64 has neighbours across the edge
+        edge = lo < 0 or hi >= _WRAP
         for sid in reversed(self._streams):
-            if abs(line - self._streams[sid][0]) <= self.window:
+            last = self._streams[sid][0]
+            if lo <= last <= hi or edge and (lo <= last - _WRAP or last + _WRAP <= hi):
                 match = sid
                 break
         if match is None:
@@ -49,7 +69,7 @@ class StreamPrefetcher:
 
         s = self._streams[match]
         self._streams.move_to_end(match)
-        d = line - s[0]
+        d = _wrap(line - s[0]) if edge else line - s[0]
         if d == 0:
             return ()
         if s[1] == d:
@@ -59,7 +79,11 @@ class StreamPrefetcher:
             s[2] = False
         s[0] = line
         if s[2]:
-            return tuple(d * i for i in range(1, self.degree + 1))
+            preds = tuple(d * i for i in range(1, self.degree + 1))
+            # |d| <= window, so only a window * degree past 2**63 can overflow
+            if self.window * self.degree >= _HALF:
+                preds = tuple(_wrap(x % _WRAP) for x in preds)
+            return preds
         return ()
 
 
@@ -67,18 +91,21 @@ class _PcHistory:
     """One PC's miss lines in arrival order, with the delta pairs among them.
 
     `lines[start:]` are the misses still inside the global history buffer;
-    `seqs` holds their global miss numbers. `pairs` maps each delta pair
-    (lines[p+1] - lines[p], lines[p+2] - lines[p+1]) to its last two
+    `seqs` holds their global miss numbers. `pairs` maps each wrapped delta
+    pair (lines[p+1] - lines[p], lines[p+2] - lines[p+1]) to its last two
     positions p, most recent last.
     """
 
-    __slots__ = ("lines", "seqs", "start", "pairs")
+    __slots__ = ("lines", "seqs", "start", "pairs", "wide")
 
     def __init__(self, seq: int, line: int):
         self.lines = [line]
         self.seqs = [seq]
         self.start = 0
         self.pairs: dict[tuple[int, int], tuple[int | None, int]] = {}
+        # whether a line >= 2**63 was stored: below that, no difference of
+        # two lines leaves int64 and none needs wrapping
+        self.wide = line >= _HALF
 
     def expire(self, oldest_seq: int, keep: int) -> None:
         """Drop misses older than `oldest_seq`; compact once more than
@@ -94,6 +121,8 @@ class _PcHistory:
                 self._add_pair(p, lines[p + 1] - lines[p], lines[p + 2] - lines[p + 1])
 
     def _add_pair(self, p: int, d0: int, d1: int) -> None:
+        if self.wide:
+            d0, d1 = _wrap(d0), _wrap(d1)
         last = self.pairs.get((d0, d1))
         self.pairs[d0, d1] = (None if last is None else last[1], p)
 
@@ -101,6 +130,8 @@ class _PcHistory:
         lines = self.lines
         lines.append(line)
         self.seqs.append(seq)
+        if line >= _HALF:
+            self.wide = True
         n = len(lines)
         if n >= 3:
             self._add_pair(n - 3, lines[n - 2] - lines[n - 3], line - lines[n - 2])
@@ -114,7 +145,11 @@ class _PcHistory:
         if n - self.start < 2:
             return ()
         last = lines[-1]
-        found = self.pairs.get((last - lines[-2], line - last))
+        d0, d1 = last - lines[-2], line - last
+        wide = self.wide or line >= _HALF
+        if wide:
+            d0, d1 = _wrap(d0), _wrap(d1)
+        found = self.pairs.get((d0, d1))
         if found is None:
             return ()
         p = found[1]
@@ -127,7 +162,8 @@ class _PcHistory:
         if p < self.start:
             return ()
         base = lines[p + 2]
-        return tuple(x - base for x in lines[p + 3 : min(n, p + 3 + degree)])
+        offsets = tuple(x - base for x in lines[p + 3 : min(n, p + 3 + degree)])
+        return tuple(map(_wrap, offsets)) if wide else offsets
 
 
 class GhbPcDc:
@@ -189,7 +225,7 @@ def baseline_prediction_sets(
     out = []
     observe = prefetcher.observe
     # Python ints: numpy scalars are slower here, and uint64 ones would
-    # wrap the prefetchers' line differences
+    # wrap the prefetchers' line differences modulo 2**64, not to int64
     deltas = compute_deltas(misses.line).tolist()
     for t, (pc, line) in enumerate(zip(misses.pc.tolist(), misses.line.tolist())):
         preds = observe(pc, line)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import math
@@ -105,7 +106,7 @@ VALUE_CHECKS = {
     ("model", "layers"): _POSITIVE_INT,
     ("model", "type"): _one_of("embedding", "cluster"),
     ("model", "modality"): _one_of("both", "delta_only", "pc_only"),
-    ("model", "dtype"): _one_of("float16", "float32", "float64"),
+    ("model", "dtype"): _one_of("float32", "float64"),
     ("train", "steps"): _POSITIVE_INT,
     ("train", "batch"): _POSITIVE_INT,
     ("train", "window"): _POSITIVE_INT,
@@ -341,7 +342,36 @@ def _trained(cfg: dict, out_dir: str):
     return misses, n_train, model, dataset, vocabs
 
 
+# glibc mallopt parameters; 32 MiB is the largest mmap threshold every
+# glibc accepts
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def keep_heap(libc=None) -> bool:
+    """Stop glibc from giving freed heap back to the OS after every step.
+
+    Training frees and reallocates the same ~16 MB of forward caches each
+    step; trimmed, they are faulted back in by the next step. Raises the
+    mmap threshold to 32 MiB, so those blocks come from the heap, and only
+    if that worked the trim threshold to 256 MiB: set alone, it would pin
+    glibc's dynamic mmap threshold at 128 KiB, and every larger block
+    would be mapped and faulted in afresh. Acts on this process
+    only; without `mallopt` (musl, macOS) nothing is set. Returns whether
+    both were set.
+    """
+    mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1 and (
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    )
+
+
 def run_train(cfg: dict, out_dir: str) -> dict:
+    keep_heap()
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
     t = cfg["train"]

@@ -95,7 +95,9 @@ def lstm_forward(X, states, Ws, bs, cache=True):
     top-layer outputs (T, B, H), the final states, and caches for backward.
     With `cache=False` the caches are None: each diagonal's activations are
     dropped as soon as the next diagonal has read them, which is all that
-    inference needs, and the results are unchanged.
+    inference needs, and the results are unchanged. The caches hold the
+    `[x | h]` buffers and each diagonal's gate activations, c_prev and c;
+    `lstm_backward` recomputes tanh(c), bit for bit, rather than keep it.
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
     do not depend on each other: after each layer's own `[x | h] @ W.T`,
@@ -134,7 +136,7 @@ def lstm_forward(X, states, Ws, bs, cache=True):
             if l + 1 < L:
                 xhs[l + 1][d - l, :, :H] = h[l - lo]
         if cache:
-            diagonals.append((lo, a, c_prev, tc))
+            diagonals.append((lo, a, c_prev, c))
         if d >= T - 1:
             c_final.append(c[0].copy())
     finals = [(xh[T, :, D:].copy(), cl) for xh, D, cl in zip(xhs, dims, c_final)]
@@ -160,8 +162,9 @@ def lstm_backward(dH_top, caches, Ws):
     dX = np.empty((T, B, dims[0]), dtype=dH_top.dtype)
 
     for d in range(T + L - 2, -1, -1):
-        lo, a, c_prev, tc = diagonals[d]
+        lo, a, c_prev, c = diagonals[d]
         hi = lo + len(a)
+        tc = np.tanh(c)
         dh = np.empty((hi - lo, B, H), dtype=dH_top.dtype)
         for l in range(lo, hi):
             above = dH_top[d - l] if l == L - 1 else d_above[l]
@@ -283,28 +286,50 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update with bias correction. `state` persists per model."""
+    """In-place Adam update with bias correction. `state` persists per model.
+
+    Evaluates m += (1-b1)(g-m), v += (1-b2)(g*g-v), then
+    p -= lr * m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps), each operation on the
+    same operands in the same order as written, through two temporaries
+    per parameter; `grads` is left as it was.
+    """
     state["t"] = state.get("t", 0) + 1
     t = state["t"]
     for name, p in params.items():
         g = grads[name]
         m = state.setdefault("m_" + name, np.zeros_like(p))
         v = state.setdefault("v_" + name, np.zeros_like(p))
-        m += (1 - beta1) * (g - m)
-        v += (1 - beta2) * (g * g - v)
-        mhat = m / (1 - beta1**t)
-        vhat = v / (1 - beta2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        step = np.subtract(g, m)
+        step *= 1 - beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1 - beta2
+        v += step
+        den = np.divide(v, 1 - beta2**t)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, 1 - beta1**t, out=step)
+        step *= lr
+        step /= den
+        p -= step
 
 
 def adagrad_step(
     params: dict, grads: dict, state: dict, lr: float = 0.1, eps: float = 1e-8
 ) -> None:
+    """In-place Adagrad: acc += g*g, p -= lr*g / (sqrt(acc) + eps), in that
+    operation order, through two temporaries per parameter."""
     for name, p in params.items():
         g = grads[name]
         acc = state.setdefault("acc_" + name, np.zeros_like(p))
-        acc += g * g
-        p -= lr * g / (np.sqrt(acc) + eps)
+        step = np.multiply(g, g)
+        acc += step
+        den = np.sqrt(acc)
+        den += eps
+        np.multiply(g, lr, out=step)
+        step /= den
+        p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +379,7 @@ CKPT_VERSION = 1
 # the dtype strings a checkpoint may store: little-endian floats and ints
 CKPT_DTYPES = {
     dt.str.encode(): dt
-    for dt in map(np.dtype, ("<f2", "<f4", "<f8", "<i1", "<i2", "<i4", "<i8",
+    for dt in map(np.dtype, ("<f4", "<f8", "<i1", "<i2", "<i4", "<i8",
                              "<u1", "<u2", "<u4", "<u8"))
 }
 

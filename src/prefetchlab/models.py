@@ -46,6 +46,20 @@ MASK_NEG = -1e30  # additive logit mask for classes a cluster cannot emit
 MASK_BLOCK = 1 << 16  # elements of mask rows gathered at once
 
 
+def embedding_grad(table, ids, d_rows):
+    """Dense gradient of `table` for the lookup `table[ids]` whose output
+    gradient is `d_rows` (ids.shape + (E,), any strides).
+
+    One 1-D `np.add.at` over element indices id * E + j: the same
+    in-order accumulation per element as a row-wise `np.add.at(g, ids,
+    rows)`, on numpy's 1-D fast path instead of one dispatch per row."""
+    E = table.shape[1]
+    g = np.zeros_like(table)
+    flat_ids = (ids.reshape(-1, 1) * E + np.arange(E)).reshape(-1)
+    np.add.at(g.reshape(-1), flat_ids, d_rows.reshape(-1))
+    return g
+
+
 class _LstmPrefetcher:
     """Stacked LSTM plus softmax head over per-position input vectors.
 
@@ -187,17 +201,11 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
     def loss_and_grads(self, pc_ids, delta_ids, labels, states):
         loss, grads, dX, new_states = self._core_grads(pc_ids, delta_ids, labels, states)
         off = 0
-        if self.e_pc:
-            grads["emb_pc"] = np.zeros_like(self.params["emb_pc"])
-            np.add.at(
-                grads["emb_pc"], pc_ids.reshape(-1), dX[..., : self.e_pc].reshape(-1, self.e_pc)
-            )
-            off = self.e_pc
-        if self.e_delta:
-            grads["emb_delta"] = np.zeros_like(self.params["emb_delta"])
-            np.add.at(
-                grads["emb_delta"], delta_ids.reshape(-1), dX[..., off:].reshape(-1, self.e_delta)
-            )
+        tables = (("emb_pc", pc_ids, self.e_pc), ("emb_delta", delta_ids, self.e_delta))
+        for name, ids, width in tables:
+            if width:
+                grads[name] = embedding_grad(self.params[name], ids, dX[..., off : off + width])
+                off += width
         return loss, grads, new_states
 
     def predict_topk(self, pc_ids, delta_ids, states, k: int = 10):

@@ -6,7 +6,7 @@ import pytest
 
 from prefetchlab.baselines import GhbPcDc, StreamPrefetcher, baseline_prediction_sets
 from prefetchlab.errors import ConfigError
-from prefetchlab.eval import PredictionSet
+from prefetchlab.eval import PredictionSet, precision_at_k
 from prefetchlab.trace import MissStream, signed_delta
 
 
@@ -360,3 +360,32 @@ def test_stream_precision_on_long_stride_run():
     sets = baseline_prediction_sets(StreamPrefetcher(), misses)
     hits = sum(1 for s in sets if s.true_delta in s.predicted)
     assert hits / len(sets) > 0.99
+
+
+def test_baseline_deltas_wrap_like_the_labels():
+    """Line differences are 64-bit two's-complement, as the labels are: a
+    stride of 2**63 + 5 lines is one delta, -(2**63 - 5), not two that
+    alternate between 2**63 + 5 and 5 - 2**63 as unbounded ints would."""
+    def ghb_sets(stride):
+        addrs = [(i * stride) % (1 << 64) for i in range(400)]
+        pairs = np.array([(0x400000, a) for a in addrs], dtype=np.uint64)
+        return baseline_prediction_sets(GhbPcDc(), MissStream.from_pairs(pairs, line_size=1))
+
+    ghb = ghb_sets((1 << 63) + 5)
+    assert {s.true_delta for s in ghb} == {5 - (1 << 63)}
+    # scored like a small stride: all but the warm-up misses hit
+    assert precision_at_k(ghb, 10) == precision_at_k(ghb_sets(64), 10) > 0.98
+    assert {s.predicted for s in ghb if s.predicted} == {(5 - (1 << 63),)}
+
+
+def test_stream_follows_a_stride_across_the_top_of_the_line_space():
+    top = (1 << 64) - 1
+    lines = [(top - 6 + 3 * i) % (1 << 64) for i in range(8)]
+    sets = baseline_prediction_sets(StreamPrefetcher(), misses_from_lines(lines))
+    assert all(s.true_delta == 3 for s in sets)
+    assert all(s.predicted == tuple(3 * i for i in range(1, 11)) for s in sets[2:])
+    # confirmed strides so large that a multiple leaves int64 wrap as well
+    pf = StreamPrefetcher(window=1 << 63)
+    for line in (0, 1 << 62, 1 << 63):
+        preds = pf.observe(1, line)
+    assert preds == tuple(((i << 62) + (1 << 63)) % (1 << 64) - (1 << 63) for i in range(1, 11))

@@ -1,6 +1,7 @@
 import csv
 import functools
 import os
+import types
 import weakref
 
 import pytest
@@ -77,6 +78,7 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("model: {layers: 1.5}\n", ("model.layers",)),
         ("model: {dtype: int8}\n", ("model.dtype",)),
         ("model: {dtype: null}\n", ("model.dtype",)),
+        ("model: {dtype: float16}\n", ("model.dtype", "float16")),
         ("train: {steps: x}\n", ("train.steps",)),
         ("train: {batch: '16'}\n", ("train.batch",)),
         ("train: {window: 0}\n", ("train.window",)),
@@ -116,7 +118,8 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
-         "dtype_null", "steps_string", "batch_string", "window_zero", "clip_string",
+         "dtype_null", "dtype_float16", "steps_string", "batch_string", "window_zero",
+         "clip_string",
          "lr_string", "max_output_string", "min_input_count_float", "cluster_k_string",
          "max_iters_string", "cluster_min_input_count_zero", "seed_string", "seed_bool",
          "baselines_string", "split_one", "split_string", "type_unknown", "modality_unknown",
@@ -134,6 +137,31 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     for name in (str(path),) + names:
         assert name in lines[0]
+
+
+def fake_libc(*results):
+    """A libc whose mallopt records its calls and answers from `results`."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return results[len(calls) - 1]
+
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+def test_keep_heap_sets_trim_threshold_only_after_mmap_threshold():
+    libc, calls = fake_libc(1, 1)
+    assert cli.keep_heap(libc)
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 256 << 20)]
+    # refused: the trim threshold alone would pin the mmap threshold
+    libc, calls = fake_libc(0)
+    assert not cli.keep_heap(libc)
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20)]
+
+
+def test_keep_heap_without_mallopt_is_a_no_op():
+    assert not cli.keep_heap(object())
 
 
 def test_embedding_pipeline_stages(tmp_path):

@@ -407,6 +407,33 @@ def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
         assert_bit_equal(got[1], ref[1])
 
 
+def test_training_cache_keeps_c_not_tanh_c():
+    """The backward caches hold the [x | h] buffers, each diagonal's gate
+    activations and cell stacks, and nothing else: tanh(c) is recomputed
+    in backward, where a cached copy would cost another T*L*B*H floats."""
+    T = B = 64
+    D, H, L = 256, 128, 2
+    dtype = np.float32
+    rng = np.random.default_rng(4)
+    Ws = [lstm_layer_init(D if l == 0 else H, H, rng, dtype)[0] for l in range(L)]
+    bs = [np.zeros(4 * H, dtype=dtype) for _ in Ws]
+    X = rng.normal(size=(T, B, D)).astype(dtype)
+    _, _, caches = lstm_forward(X, zero_states(L, B, H, dtype), Ws, bs)
+    buffers = {}
+    xhs, diagonals = caches
+    for arr in [*xhs, *(a for _, *arrays in diagonals for a in arrays)]:
+        while arr.base is not None:
+            arr = arr.base
+        buffers[id(arr)] = arr
+    item = np.dtype(dtype).itemsize
+    xh_bytes = (T + 1) * B * (D + H + H + H) * item
+    a_bytes = T * L * B * 4 * H * item
+    c_bytes = T * L * B * H * item
+    # diagonal d < L prepends layer d's initial c to the previous c stack
+    c_prev_bytes = sum(range(1, L + 1)) * B * H * item
+    assert sum(a.nbytes for a in buffers.values()) == xh_bytes + a_bytes + c_bytes + c_prev_bytes
+
+
 def test_forward_rejects_mixed_hidden_sizes():
     rng = np.random.default_rng(9)
     (W0, b0), (W1, b1) = lstm_layer_init(3, 4, rng), lstm_layer_init(4, 6, rng)
@@ -682,6 +709,57 @@ def test_optimizers_keep_state_per_param():
     state = {}
     adam_step(params, grads, state, lr=0.1)
     assert set(state) == {"t", "m_a", "v_a", "m_b", "v_b"}
+
+
+def expression_adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written as plain expressions, each allocating its result."""
+    state["t"] = state.get("t", 0) + 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state.setdefault("m_" + name, np.zeros_like(p))
+        v = state.setdefault("v_" + name, np.zeros_like(p))
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def expression_adagrad_step(params, grads, state, lr=0.1, eps=1e-8):
+    for name, p in params.items():
+        g = grads[name]
+        acc = state.setdefault("acc_" + name, np.zeros_like(p))
+        acc += g * g
+        p -= lr * g / (np.sqrt(acc) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("step,oracle,lr", [(adam_step, expression_adam_step, 1e-3),
+                                            (adagrad_step, expression_adagrad_step, 0.1)])
+def test_in_place_optimizers_bit_equal_to_expressions(dtype, step, oracle, lr):
+    rng = np.random.default_rng(21)
+    shapes = {"W": (7, 5), "b": (5,), "emb": (11, 3)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    state, ref_state = {}, {}
+    for i in range(20):
+        grads = {}
+        for k, s in shapes.items():
+            g = rng.normal(size=s) * (1e3 if i % 4 == 1 else 1.0)
+            if i % 4 == 2:
+                g[..., ::2] = 0  # rows and columns that saw no gradient
+            grads[k] = g.astype(dtype)
+        grads["b"] *= i % 5 != 3  # and whole steps of zeros
+        kept = {k: g.copy() for k, g in grads.items()}
+        step(params, grads, state, lr=lr)
+        oracle(ref, grads, ref_state, lr=lr)
+        for k in shapes:
+            assert_bit_equal(params[k], ref[k])
+            assert_bit_equal(grads[k], kept[k])  # the gradients are left alone
+        assert state.keys() == ref_state.keys()
+        for k in state:
+            assert_bit_equal(np.asarray(state[k]), np.asarray(ref_state[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,45 @@ def test_cluster_model_gradcheck():
         assert relative_grad_error(analytic[name], numeric[name]) < 1e-7, name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("modality", ["both", "delta_only", "pc_only"])
+def test_embedding_grads_bit_equal_to_row_scatter(monkeypatch, dtype, modality):
+    """Each table's gradient, one flat scatter of elements, equals the
+    row-wise np.add.at of the input gradient's (strided) slice, with ids
+    repeated many times in one window."""
+    model = EmbeddingPrefetcher(n_delta_inputs=6, n_pcs=3, n_outputs=5, hidden=8, embed=4,
+                                modality=modality, dtype=dtype, seed=2)
+    rng = np.random.default_rng(7)
+    T, B = 16, 8
+    pc = rng.integers(0, 4, size=(B, T)).T  # transposed views, as training slices them
+    din = rng.integers(0, 7, size=(B, T)).T
+    labels = rng.integers(0, 6, size=(T, B))
+    captured = []
+    core_grads = model._core_grads
+
+    def spy(*args):
+        out = core_grads(*args)
+        captured.append(out[2])
+        return out
+
+    monkeypatch.setattr(model, "_core_grads", spy)
+    _, grads, _ = model.loss_and_grads(pc, din, labels, model.zero_states(B))
+    (dX,) = captured
+    off = 0
+    for name, ids, width in (("emb_pc", pc, model.e_pc), ("emb_delta", din, model.e_delta)):
+        if not width:
+            assert name not in model.params
+            continue
+        rows = dX[..., off : off + width]
+        if model.e_pc and model.e_delta:
+            assert not rows.flags.c_contiguous
+        ref = np.zeros_like(model.params[name])
+        np.add.at(ref, ids.reshape(-1), rows.reshape(-1, width))
+        assert grads[name].dtype == ref.dtype == dtype
+        assert grads[name].tobytes() == ref.tobytes(), name
+        off += width
+
+
 def test_grads_come_in_params_order():
     # clip_global_norm sums squares in dict order, so the order is part of
     # the bit-exact training contract

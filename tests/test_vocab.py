@@ -1,10 +1,14 @@
+import os
 import random
 import struct
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import prefetchlab
 from prefetchlab.errors import DataError, TraceFormatError
 from prefetchlab.trace import MissStream, signed_delta
 from prefetchlab.vocab import (
@@ -176,6 +180,26 @@ def test_coverage_stats_small_example():
         assert stats.addrs_for_50pct_mass == mass_prefix_length(list(line_counts.values()))
         assert stats.deltas_for_50pct_mass == mass_prefix_length(list(delta_counts.values()))
         assert all(isinstance(x, int) for x in stats.__dict__.values())
+
+
+def test_coverage_stats_does_not_import_numpy_ma():
+    """np.unique without counts imports numpy.ma (~17 ms in the report
+    stage); a fresh interpreter shows whether coverage_stats pulls it in."""
+    script = (
+        "import sys, numpy as np\n"
+        "from prefetchlab.trace import MissStream\n"
+        "from prefetchlab.vocab import compute_deltas, coverage_stats\n"
+        "lines = np.arange(50, dtype=np.uint64) * np.uint64(3)\n"
+        "misses = MissStream(lines % np.uint64(4), lines << np.uint64(6), lines)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "coverage_stats(misses, compute_deltas(misses.line))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(prefetchlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_coverage_stats_empty_inputs():
