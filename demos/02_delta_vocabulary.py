@@ -29,5 +29,5 @@ print("input classes:", v.n_input, " output classes:", v.n_output)
 print("train-mass covered by output classes:", round(v.output_coverage(), 4))
 print("most frequent deltas (lines):")
 # class i is the i-th ranked delta; the rank continues below the threshold
-for idx, delta in enumerate(v.output_deltas()[:8]):
+for idx, delta in enumerate(v.deltas[: min(v.n_output, 8)].tolist()):
     print(f"  class {idx}: delta {delta} ({v.counts[idx]} times)")

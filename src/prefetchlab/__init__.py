@@ -22,7 +22,7 @@ from .clustering import (
 )
 from .errors import ConfigError, DataError, TraceFormatError
 from .eval import (
-    PredictionSet,
+    Predictions,
     geometric_mean,
     metrics_summary,
     precision_at_k,

@@ -3,12 +3,14 @@
 Both prefetchers consume the miss stream one event at a time through
 observe(pc, line) and return the delta set they would prefetch after that
 miss, which makes them directly comparable to the sequence models: the
-deltas returned at miss t are scored against the true delta t -> t+1.
-All deltas are in line units and, like the labels (`trace.signed_delta`),
-64-bit two's-complement. A difference of two uint64 lines lies in
-(-2**64, 2**64), so one compare-and-adjust (`_wrap`) brings it into
-[-2**63, 2**63); the prefetchers skip it where no difference can leave
-that range, so the common case costs a comparison or two per miss.
+deltas returned at miss t are scored against the true delta t -> t+1;
+`baseline_prediction_sets` writes the sets into the preallocated rows of
+one `Predictions` record. All deltas are in line units and, like the
+labels (`trace.signed_delta`), 64-bit two's-complement. A difference of
+two uint64 lines lies in (-2**64, 2**64), so one compare-and-adjust
+(`_wrap`) brings it into [-2**63, 2**63); the prefetchers skip it where
+no difference can leave that range, so the common case costs a
+comparison or two per miss.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 
+import numpy as np
+
 from .errors import ConfigError
-from .eval import PredictionSet
+from .eval import Predictions
 from .trace import MissStream
 from .vocab import compute_deltas
 
 _HALF = 1 << 63
 _WRAP = 1 << 64
+SET_WIDTH = 10  # deltas kept per prediction set
 
 
 def _wrap(d: int) -> int:
@@ -216,19 +221,22 @@ class GhbPcDc:
         return preds
 
 
-def baseline_prediction_sets(
-    prefetcher, misses: MissStream, start: int = 0
-) -> list[PredictionSet]:
-    """Run a prefetcher over a miss stream; one PredictionSet per transition
-    t -> t+1 with t + 1 >= `start`. Every miss still updates the
+def baseline_prediction_sets(prefetcher, misses: MissStream, start: int = 0) -> Predictions:
+    """Run a prefetcher over a miss stream; one row per transition t -> t+1
+    with t + 1 >= `start`, holding the first SET_WIDTH deltas that the
+    prefetcher returned at miss t. Every miss still updates the
     prefetcher's state."""
-    out = []
+    first = max(start - 1, 0)
+    deltas = compute_deltas(misses.line)[first:]
+    n = len(deltas)
+    out = Predictions(np.arange(first, first + n), np.zeros((n, SET_WIDTH), dtype=np.int64),
+                      np.zeros(n, dtype=np.int64), deltas)
     observe = prefetcher.observe
     # Python ints: numpy scalars are slower here, and uint64 ones would
     # wrap the prefetchers' line differences modulo 2**64, not to int64
-    deltas = compute_deltas(misses.line).tolist()
-    for t, (pc, line) in enumerate(zip(misses.pc.tolist(), misses.line.tolist())):
-        preds = observe(pc, line)
-        if start <= t + 1 <= len(deltas):
-            out.append(PredictionSet(timestep=t, predicted=preds[:10], true_delta=deltas[t]))
+    for row, (pc, line) in enumerate(zip(misses.pc.tolist(), misses.line.tolist()), -first):
+        preds = observe(pc, line)[:SET_WIDTH]
+        if preds and 0 <= row < n:
+            out.predicted[row, : len(preds)] = preds
+            out.n_predicted[row] = len(preds)
     return out

@@ -300,12 +300,12 @@ def run_cluster(cfg: dict, out_dir: str) -> dict:
     return {"k": model.k, "inertia": model.inertia, "n_iters": model.n_iters}
 
 
-def prepare(cfg: dict, out_dir: str, misses, n_train: int):
+def prepare(cfg: dict, out_dir: str, misses, n_train: int, seed: int | None):
     """(fresh model, full-stream dataset, output vocabularies) for `cfg`.
 
     The one place the model and its dataset are built, from the config
-    and the vocab/cluster artifacts: train fits this model, and eval and
-    export load the trained weights into it.
+    and the vocab/cluster artifacts: train fits this model, seeded, and
+    eval and export, seed None, load the trained weights into it.
     """
     mcfg = cfg["model"]
     dtype = np.dtype(mcfg["dtype"])
@@ -314,7 +314,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int):
         pc_vocab = vocab_mod.build_pc_vocab(misses.pc[:n_train])
         model = models.EmbeddingPrefetcher(
             v.n_input, pc_vocab.n_pcs, v.n_output, hidden=mcfg["hidden"], embed=mcfg["embed"],
-            layers=mcfg["layers"], modality=mcfg["modality"], dtype=dtype, seed=cfg["seed"],
+            layers=mcfg["layers"], modality=mcfg["modality"], dtype=dtype, seed=seed,
         )
         return model, models.embedding_dataset(misses, v, pc_vocab), v
     cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
@@ -327,7 +327,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int):
     )
     model = models.ClusterPrefetcher(
         [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
-        layers=mcfg["layers"], dtype=dtype, seed=cfg["seed"],
+        layers=mcfg["layers"], dtype=dtype, seed=seed,
     )
     return model, models.cluster_dataset(misses, assignments, vocabs, norms, model), vocabs
 
@@ -337,7 +337,7 @@ def _trained(cfg: dict, out_dir: str):
     path = _require(out_dir, MODEL_FILE)
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
-    model, dataset, vocabs = prepare(cfg, out_dir, misses, n_train)
+    model, dataset, vocabs = prepare(cfg, out_dir, misses, n_train, seed=None)
     models.load_weights(model, path)
     return misses, n_train, model, dataset, vocabs
 
@@ -353,13 +353,13 @@ def keep_heap(libc=None) -> bool:
     """Stop glibc from giving freed heap back to the OS after every step.
 
     Training frees and reallocates the same ~16 MB of forward caches each
-    step; trimmed, they are faulted back in by the next step. Raises the
-    mmap threshold to 32 MiB, so those blocks come from the heap, and only
-    if that worked the trim threshold to 256 MiB: set alone, it would pin
-    glibc's dynamic mmap threshold at 128 KiB, and every larger block
-    would be mapped and faulted in afresh. Acts on this process
-    only; without `mallopt` (musl, macOS) nothing is set. Returns whether
-    both were set.
+    step, and eval its window temporaries each window; trimmed or mapped
+    afresh, they are faulted back in by the next one. Raises the mmap
+    threshold to 32 MiB, so those blocks come from the heap, and only if
+    that worked the trim threshold to 256 MiB: set alone, it would pin
+    glibc's dynamic mmap threshold at 128 KiB, and every larger block would
+    be mapped and faulted in afresh. Acts on this process only; without
+    `mallopt` (musl, macOS) nothing is set. Returns whether both were set.
     """
     mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
     if mallopt is None:
@@ -378,12 +378,15 @@ def run_train(cfg: dict, out_dir: str) -> dict:
     tcfg = models.TrainConfig(
         steps=t["steps"], window=t["window"], optimizer=t["optimizer"], lr=t["lr"], clip=t["clip"]
     )
-    model, dataset, _ = prepare(cfg, out_dir, misses, n_train)
+    model, dataset, _ = prepare(cfg, out_dir, misses, n_train, cfg["seed"])
     in_train = dataset["target_index"] < n_train
+    # only what training reads: the other columns are freed before it runs
+    batches = {key: dataset[key] for key in (*model.input_keys, "label")}
+    del dataset
     if cfg["model"]["type"] == "embedding":
-        batches = models.batchify({key: arr[in_train] for key, arr in dataset.items()}, t["batch"])
+        batches = models.batchify({key: a[in_train] for key, a in batches.items()}, t["batch"])
     else:  # one row per cluster; positions past the split carry no label
-        batches = dict(dataset, label=np.where(in_train, dataset["label"], -1))
+        batches["label"] = np.where(in_train, batches["label"], -1)
 
     history = models.train_model(model, batches, tcfg)
     meta = {"config_hash": evaluation.config_hash(evaluation.sanitize(cfg)), "n_train": n_train}
@@ -396,6 +399,7 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
     """Scores the model, then each baseline. Each method's prediction sets
     are freed once scored, and the model and its dataset before the
     baselines run, so eval holds one method's sets at a time."""
+    keep_heap()
     misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
     k = cfg["eval"]["k"]
     if cfg["model"]["type"] == "embedding":

@@ -28,8 +28,8 @@ class ClusterModel:
 
     def assign(self, addresses) -> np.ndarray:
         """Nearest-centroid assignment; ties go to the lower centroid index."""
-        x = np.asarray(addresses, dtype=np.float64)
-        return np.argmin(np.abs(x[:, None] - self.centroids[None, :]), axis=1)
+        d = np.asarray(addresses, dtype=np.float64)[:, None] - self.centroids[None, :]
+        return np.argmin(np.abs(d, out=d), axis=1)
 
 
 def kmeans_fit(
@@ -48,9 +48,10 @@ def kmeans_fit(
     prev_assign = None
     prev_inertia = np.inf
     n_iters = 0
+    dist = np.empty((len(x), k))  # |x - centroid|, one buffer for every iteration
     for n_iters in range(1, max_iters + 1):
-        dist = np.abs(x[:, None] - centroids[None, :])
-        assign = np.argmin(dist, axis=1)
+        np.subtract(x[:, None], centroids[None, :], out=dist)
+        assign = np.argmin(np.abs(dist, out=dist), axis=1)
         inertia = float(np.sum((x - centroids[assign]) ** 2))
         # Lloyd iterations never raise inertia; `not <=` also catches NaN
         if not inertia <= prev_inertia * (1 + 1e-12) + 1e-9:

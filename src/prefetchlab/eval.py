@@ -1,56 +1,77 @@
 """Precision/recall scoring of prediction sets plus report plumbing.
 
-A PredictionSet records, for one miss transition, the delta set a model
-would prefetch and the delta that actually happened. Precision@k asks how
-often the true delta was in the set (an empty set counts as a miss, and a
-true delta outside a model's output vocabulary can never match). Recall@k
-compares the union of everything predicted against the union of deltas
-that occurred.
+A `Predictions` record holds, per miss transition, the delta set a model
+would prefetch and the delta that actually happened, as array columns.
+Precision@k asks how often the true delta was among a row's first k
+predictions (an empty set counts as a miss, and a true delta outside a
+model's output vocabulary can never match). Recall@k compares the
+distinct deltas predicted anywhere against the distinct deltas that
+occurred.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 
-class PredictionSet(NamedTuple):
-    timestep: int
-    predicted: tuple[int, ...]
-    true_delta: int
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Prediction sets as columns, one row per transition t -> t+1: `timestep`
+    t, `predicted` (n, w) int64 deltas best first, of which the first
+    `n_predicted` are the row's set (later slots hold 0), and `true_delta`.
+    A slice or a boolean mask selects rows."""
+
+    timestep: np.ndarray
+    predicted: np.ndarray
+    n_predicted: np.ndarray
+    true_delta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestep)
+
+    def __getitem__(self, rows) -> Predictions:
+        return Predictions(*(column[rows] for column in vars(self).values()))
+
+    def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(each row's first k slots, which of them hold a prediction)."""
+        if not len(self):
+            raise DataError("no prediction sets to score")
+        top = self.predicted[:, :k]
+        return top, np.arange(top.shape[1]) < self.n_predicted[:, None]
 
 
-def precision_at_k(sets: Sequence[PredictionSet], k: int = 10) -> float:
-    if not sets:
-        raise DataError("no prediction sets to score")
-    hits = sum(1 for s in sets if s.true_delta in s.predicted[:k])
-    return hits / len(sets)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and a neighbour mask."""
+    values = np.sort(values)
+    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
 
 
-def recall_at_k(sets: Sequence[PredictionSet], k: int = 10) -> float:
-    if not sets:
-        raise DataError("no prediction sets to score")
-    predicted: set[int] = set()
-    true: set[int] = set()
-    for s in sets:
-        predicted.update(s.predicted[:k])
-        true.add(s.true_delta)
-    return len(predicted & true) / len(true)
+def precision_at_k(p: Predictions, k: int = 10) -> float:
+    top, valid = p.top(k)
+    return int(np.count_nonzero(((top == p.true_delta[:, None]) & valid).any(axis=1))) / len(p)
 
 
-def metrics_summary(sets: Sequence[PredictionSet], k: int = 10) -> dict:
+def recall_at_k(p: Predictions, k: int = 10) -> float:
+    top, valid = p.top(k)
+    true = _distinct(p.true_delta)
+    # each side is distinct, so an equal neighbour pair is one shared delta
+    both = np.sort(np.concatenate([_distinct(top[valid]), true]))
+    return int(np.count_nonzero(both[1:] == both[:-1])) / len(true)
+
+
+def metrics_summary(p: Predictions, k: int = 10) -> dict:
     return {
-        "precision_at_k": precision_at_k(sets, k),
-        "recall_at_k": recall_at_k(sets, k),
+        "precision_at_k": precision_at_k(p, k),
+        "recall_at_k": recall_at_k(p, k),
         "k": k,
-        "n_events": len(sets),
+        "n_events": len(p),
     }
 
 
@@ -82,6 +103,8 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
+    import hashlib  # loads OpenSSL: imported only by the stages that hash
+
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 

@@ -35,12 +35,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_init(shape, scale: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+def uniform_init(shape, scale: float, rng, dtype=np.float64) -> np.ndarray:
+    """uniform(-scale, scale) draws from the Generator `rng`, or zeros if it is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
 
 
 def lstm_layer_init(
-    input_dim: int, hidden: int, rng: np.random.Generator, dtype=np.float64
+    input_dim: int, hidden: int, rng: np.random.Generator | None, dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined (4H, D+H) weight and (4H,) bias, forget slice at 1.0."""
     scale = 1.0 / np.sqrt(hidden)

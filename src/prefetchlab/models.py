@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .eval import PredictionSet
+from .eval import Predictions
 from .lstm import (
     adagrad_step,
     adam_step,
@@ -67,8 +67,9 @@ class _LstmPrefetcher:
     their two id arrays) and `_mask_loss_logits(logits, b)` (which masks
     the (T*B, C) logits in place, or leaves them), and put their own input
     tables into `params` before calling `_init_core`, so RNG draws and
-    parameter order follow that order. Only training keeps the LSTM's
-    backward caches; every other forward runs with `cache=False`.
+    parameter order follow that order (a `seed` of None draws nothing and
+    leaves zeros for `load_weights` to fill). Only training keeps the
+    LSTM's backward caches; every other forward runs with `cache=False`.
     """
 
     def _init_core(self, params: dict, rng, input_dim: int, n_classes: int) -> None:
@@ -141,18 +142,9 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
 
     input_keys = ("pc", "delta_in")
 
-    def __init__(
-        self,
-        n_delta_inputs: int,
-        n_pcs: int,
-        n_outputs: int,
-        hidden: int = 128,
-        embed: int = 64,
-        layers: int = 2,
-        modality: str = "both",
-        dtype=np.float64,
-        seed: int = 0,
-    ):
+    def __init__(self, n_delta_inputs: int, n_pcs: int, n_outputs: int, hidden: int = 128,
+                 embed: int = 64, layers: int = 2, modality: str = "both", dtype=np.float64,
+                 seed: int | None = 0):
         if modality not in ("both", "delta_only", "pc_only"):
             raise ConfigError(f"unknown modality {modality!r}")
         self.n_delta_inputs = n_delta_inputs
@@ -170,7 +162,7 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
         }[modality]
         self.e_pc, self.e_delta = e_pc, e_delta
 
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(hidden)
         p: dict[str, np.ndarray] = {}
         if e_pc:
@@ -178,10 +170,6 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
         if e_delta:
             p["emb_delta"] = uniform_init((n_delta_inputs + 1, e_delta), scale, rng, self.dtype)
         self._init_core(p, rng, e_pc + e_delta, n_outputs + 1)
-
-    @property
-    def oov_input(self) -> int:
-        return self.n_delta_inputs
 
     @property
     def oov_output(self) -> int:
@@ -228,14 +216,8 @@ class ClusterPrefetcher(_LstmPrefetcher):
 
     input_keys = ("norm_delta", "cluster_id")
 
-    def __init__(
-        self,
-        vocab_sizes: list[int],
-        hidden: int = 128,
-        layers: int = 2,
-        dtype=np.float64,
-        seed: int = 0,
-    ):
+    def __init__(self, vocab_sizes: list[int], hidden: int = 128, layers: int = 2,
+                 dtype=np.float64, seed: int | None = 0):
         if not vocab_sizes:
             raise ConfigError("need at least one cluster")
         self.k = len(vocab_sizes)
@@ -244,7 +226,8 @@ class ClusterPrefetcher(_LstmPrefetcher):
         self.layers = layers
         self.dtype = np.dtype(dtype)
         self.head_size = max(vocab_sizes) + 1
-        self._init_core({}, np.random.default_rng(seed), 1 + self.k, self.head_size)
+        rng = None if seed is None else np.random.default_rng(seed)
+        self._init_core({}, rng, 1 + self.k, self.head_size)
 
         # loss mask allows a cluster's own classes plus the shared OOV slot;
         # the prediction mask additionally hides OOV
@@ -515,8 +498,7 @@ def load_weights(model, path) -> dict:
                 f"{path}: tensor {name} is {arr.dtype.name}{list(arr.shape)}, the model built "
                 f"from the config has {p.dtype.name}{list(p.shape)}"
             )
-    for name in model.params:
-        model.params[name] = arrays[name]
+    model.params.update(arrays)  # same names, so the order stays
     return meta
 
 
@@ -525,77 +507,60 @@ def load_weights(model, path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def embedding_prediction_sets(
-    model: EmbeddingPrefetcher,
-    dataset: dict,
-    delta_vocab: DeltaVocab,
-    test_start: int,
-    k: int = 10,
-    window: int = 512,
-):
+def _prediction_sets(model, rows: dict, tables: list, keep, width: int, k: int,
+                     window: int) -> Predictions:
+    """The `keep` events of (rows, cols) streams run side by side as batch
+    rows, row c's ids decoded through `tables[c]` by one `np.take` per
+    window and the rows merged by a stable sort on the timestep. A window
+    without a kept event only advances the state; windows are never cut,
+    since BLAS rounds a GEMM's rows differently given a subset of them."""
+    # all tables in one array, row c's from offset[c]; masked ids read the 0
+    offset = np.cumsum([0] + [len(t) for t in tables[:-1]])
+    table = np.concatenate(tables + [np.zeros(1, dtype=np.int64)])
+    n = int(np.count_nonzero(keep))
+    out = Predictions(*(np.empty(shape, dtype=np.int64) for shape in (n, (n, width), n, n)))
+    states = model.zero_states(len(keep))
+    at = 0
+    for lo in range(0, keep.shape[1], window):
+        inputs = [rows[key][:, lo : lo + window].T for key in model.input_keys]
+        t, c = np.nonzero(keep[:, lo : lo + window].T)
+        if not len(t):
+            states = model.run_lstm(*inputs, states)[1]
+            continue
+        ids, states = model.predict_topk(*inputs, states, k)
+        ids = ids[t, c]
+        valid = ids >= 0
+        kept = slice(at, at + len(t))
+        out.timestep[kept] = rows["timestep"][c, lo + t]
+        out.true_delta[kept] = rows["delta_raw"][c, lo + t]
+        # topk orders the scores descending, so a row's masked slots (-1)
+        # come after all of its valid ids
+        out.n_predicted[kept] = np.count_nonzero(valid, axis=1)
+        ids += offset[c, None]
+        ids[~valid] = len(table) - 1
+        np.take(table, ids, out=out.predicted[kept])
+        at += len(t)
+    return out[np.argsort(out.timestep, kind="stable")]
+
+
+def embedding_prediction_sets(model: EmbeddingPrefetcher, dataset: dict, delta_vocab: DeltaVocab,
+                              test_start: int, k: int = 10, window: int = 512) -> Predictions:
     """Stream the full event sequence (warm state) and keep events whose
-    target miss index is >= test_start. A window without a kept event only
-    advances the state; windows are never cut, since BLAS rounds a GEMM's
-    rows differently when it is given a subset of them."""
-    n = len(dataset["label"])
-    states = model.zero_states(1)
-    keep = dataset["target_index"] >= test_start
-    decode = delta_vocab.output_deltas().__getitem__
-    out = []
-    for lo in range(0, n, window):
-        hi = min(lo + window, n)
-        pc = dataset["pc"][lo:hi].reshape(-1, 1)
-        din = dataset["delta_in"][lo:hi].reshape(-1, 1)
-        sel = np.nonzero(keep[lo:hi])[0]
-        if not len(sel):
-            states = model.run_lstm(pc, din, states)[1]
-            continue
-        ids, states = model.predict_topk(pc, din, states, k)
-        for ts, row, true in zip(
-            dataset["timestep"][lo + sel].tolist(),
-            ids[sel, 0].tolist(),
-            dataset["delta_raw"][lo + sel].tolist(),
-        ):
-            out.append(PredictionSet(timestep=ts, predicted=tuple(map(decode, row)),
-                                     true_delta=true))
-    return out
+    target miss index is >= test_start."""
+    rows = {key: a.reshape(1, -1) for key, a in dataset.items()}
+    table = delta_vocab.deltas[: delta_vocab.n_output]
+    return _prediction_sets(model, rows, [table], rows["target_index"] >= test_start,
+                            min(k, model.n_outputs), k, window)
 
 
-def cluster_prediction_sets(
-    model: ClusterPrefetcher,
-    dataset: dict,
-    vocabs: list[DeltaVocab | None],
-    test_start: int,
-    k: int = 10,
-    window: int = 512,
-):
-    rows, cols = dataset["label"].shape
-    states = model.zero_states(rows)
+def cluster_prediction_sets(model: ClusterPrefetcher, dataset: dict,
+                            vocabs: list[DeltaVocab | None], test_start: int, k: int = 10,
+                            window: int = 512) -> Predictions:
+    """Each cluster's stream from its start, events whose target miss
+    index is >= test_start kept, merged in timestep order."""
     keep = (dataset["target_index"] >= test_start) & (
-        np.arange(cols) < dataset["length"][:, None]
+        np.arange(dataset["label"].shape[1]) < dataset["length"][:, None]
     )
-    decoders = [v.output_deltas().__getitem__ if v is not None else None for v in vocabs]
-    out = []
-    for lo in range(0, cols, window):
-        hi = min(lo + window, cols)
-        nd = dataset["norm_delta"][:, lo:hi].T
-        cid = dataset["cluster_id"][:, lo:hi].T
-        if not keep[:, lo:hi].any():  # warm-up: see embedding_prediction_sets
-            states = model.run_lstm(nd, cid, states)[1]
-            continue
-        ids, states = model.predict_topk(nd, cid, states, k)
-        for c in range(rows):
-            sel = np.nonzero(keep[c, lo:hi])[0]
-            ids_c = ids[sel, c]
-            # topk orders the scores descending, so a row's masked slots
-            # (-1) come after all of its valid ids
-            for ts, row, n_valid, true in zip(
-                dataset["timestep"][c, lo + sel].tolist(),
-                ids_c.tolist(),
-                np.count_nonzero(ids_c >= 0, axis=-1).tolist(),
-                dataset["delta_raw"][c, lo + sel].tolist(),
-            ):
-                preds = tuple(map(decoders[c], row[:n_valid])) if n_valid else ()
-                out.append(PredictionSet(timestep=ts, predicted=preds, true_delta=true))
-    out.sort(key=lambda s: s.timestep)
-    return out
+    tables = [np.zeros(0, dtype=np.int64) if v is None else v.deltas[: v.n_output]
+              for v in vocabs]
+    return _prediction_sets(model, dataset, tables, keep, min(k, model.head_size), k, window)

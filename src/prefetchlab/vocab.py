@@ -74,10 +74,6 @@ class DeltaVocab:
     def encode_output(self, deltas: np.ndarray) -> np.ndarray:
         return _encode(self.deltas[: self.n_output], deltas, self.oov_output)
 
-    def output_deltas(self) -> list[int]:
-        """Lookup list from output class ID to delta."""
-        return self.deltas[: self.n_output].tolist()
-
     def output_coverage(self) -> float:
         """Fraction of total delta mass representable by the output classes."""
         total = int(self.counts.sum())

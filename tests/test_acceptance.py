@@ -223,7 +223,7 @@ def test_05_ghb_regime():
         ("ghb", baselines.GhbPcDc()),
     ):
         sets = baselines.baseline_prediction_sets(pf, misses)
-        scores[name] = precision_at_k([s for s in sets if s.timestep + 1 >= n_train])
+        scores[name] = precision_at_k(sets[sets.timestep + 1 >= n_train])
     report(
         "criterion 5 (GHB regime)",
         scores["ghb"] >= 0.95 and scores["stream"] <= 0.5,

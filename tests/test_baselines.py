@@ -1,19 +1,27 @@
 import random
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
 
 from prefetchlab.baselines import GhbPcDc, StreamPrefetcher, baseline_prediction_sets
 from prefetchlab.errors import ConfigError
-from prefetchlab.eval import PredictionSet, precision_at_k
+from prefetchlab.eval import precision_at_k
 from prefetchlab.trace import MissStream, signed_delta
+
+Row = namedtuple("Row", "timestep predicted true_delta")
 
 
 def misses_from_lines(lines, pcs=None):
     lines = np.array(lines, dtype=np.uint64)
     pcs = np.array(pcs or [0x400000] * len(lines), dtype=np.uint64)
     return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
+
+
+def rows(p):
+    """A Predictions record's rows as (timestep, set, true delta) Python values."""
+    return [Row(t, tuple(row[:n]), d) for t, row, n, d in zip(
+        p.timestep.tolist(), p.predicted.tolist(), p.n_predicted.tolist(), p.true_delta.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ def test_ghb_rejects_degree_below_one():
 
 def test_baseline_prediction_sets_shapes():
     misses = misses_from_lines(list(range(100, 150)))
-    sets = baseline_prediction_sets(StreamPrefetcher(), misses)
+    sets = rows(baseline_prediction_sets(StreamPrefetcher(), misses))
     assert len(sets) == 49
     assert [s.timestep for s in sets] == list(range(49))
     assert all(s.true_delta == 1 for s in sets)
@@ -332,7 +340,8 @@ def test_baseline_prediction_sets_shapes():
     assert all(1 in s.predicted for s in sets[2:])
     # a descending run confirms a negative stride: line differences are
     # taken on Python ints, not on wrapping uint64 scalars
-    sets = baseline_prediction_sets(StreamPrefetcher(), misses_from_lines(range(150, 100, -1)))
+    sets = rows(baseline_prediction_sets(StreamPrefetcher(),
+                                         misses_from_lines(range(150, 100, -1))))
     assert all(s.true_delta == -1 for s in sets)
     assert all(s.predicted == tuple(range(-1, -11, -1)) for s in sets[2:])
 
@@ -341,23 +350,23 @@ def test_baseline_prediction_sets_from_start():
     rng = random.Random(8)
     pcs, lines = zip(*random_miss_stream(rng, 400, 5))
     misses = misses_from_lines(list(lines), list(pcs))
-    full = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses)
+    full = rows(baseline_prediction_sets(GhbPcDc(buffer_size=32), misses))
     # the driver equals feeding the prefetcher one Python-int miss at a time
     ref, expected = GhbPcDc(buffer_size=32), []
     for t, (pc, line) in enumerate(zip(pcs, lines)):
         preds = ref.observe(pc, line)
         if t + 1 < len(lines):
-            expected.append(PredictionSet(t, preds[:10], signed_delta(line, lines[t + 1])))
+            expected.append(Row(t, preds[:10], signed_delta(line, lines[t + 1])))
     assert full == expected
-    for start in (0, 1, 150, 399, 400):
-        sets = baseline_prediction_sets(GhbPcDc(buffer_size=32), misses, start=start)
+    for start in (0, 1, 150, 399, 400, 401):
+        sets = rows(baseline_prediction_sets(GhbPcDc(buffer_size=32), misses, start=start))
         assert sets == full[max(start - 1, 0):]
         assert all(s.timestep + 1 >= start for s in sets)
 
 
 def test_stream_precision_on_long_stride_run():
     misses = misses_from_lines(list(range(2000)))
-    sets = baseline_prediction_sets(StreamPrefetcher(), misses)
+    sets = rows(baseline_prediction_sets(StreamPrefetcher(), misses))
     hits = sum(1 for s in sets if s.true_delta in s.predicted)
     assert hits / len(sets) > 0.99
 
@@ -372,16 +381,16 @@ def test_baseline_deltas_wrap_like_the_labels():
         return baseline_prediction_sets(GhbPcDc(), MissStream.from_pairs(pairs, line_size=1))
 
     ghb = ghb_sets((1 << 63) + 5)
-    assert {s.true_delta for s in ghb} == {5 - (1 << 63)}
+    assert {s.true_delta for s in rows(ghb)} == {5 - (1 << 63)}
     # scored like a small stride: all but the warm-up misses hit
     assert precision_at_k(ghb, 10) == precision_at_k(ghb_sets(64), 10) > 0.98
-    assert {s.predicted for s in ghb if s.predicted} == {(5 - (1 << 63),)}
+    assert {s.predicted for s in rows(ghb) if s.predicted} == {(5 - (1 << 63),)}
 
 
 def test_stream_follows_a_stride_across_the_top_of_the_line_space():
     top = (1 << 64) - 1
     lines = [(top - 6 + 3 * i) % (1 << 64) for i in range(8)]
-    sets = baseline_prediction_sets(StreamPrefetcher(), misses_from_lines(lines))
+    sets = rows(baseline_prediction_sets(StreamPrefetcher(), misses_from_lines(lines)))
     assert all(s.true_delta == 3 for s in sets)
     assert all(s.predicted == tuple(3 * i for i in range(1, 11)) for s in sets[2:])
     # confirmed strides so large that a multiple leaves int64 wrap as well

@@ -1,6 +1,10 @@
 import csv
 import functools
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import types
 import weakref
 
@@ -217,10 +221,6 @@ def test_cluster_pipeline_stages(tmp_path):
     assert metrics["metrics"]["model"]["n_events"] > 0
 
 
-class SetList(list):
-    """A list of prediction sets that a weak reference can watch."""
-
-
 @pytest.mark.parametrize("cfg,stages,sets_fn", [
     (STRIDE_CFG, ("simulate", "vocab", "train"), "embedding_prediction_sets"),
     (REGION_CFG, ("simulate", "cluster", "train"), "cluster_prediction_sets"),
@@ -234,7 +234,7 @@ def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages
 
     def watched(fn, *args, **kwargs):
         alive_at_call.append([name for name, ref in made if ref() is not None])
-        sets = SetList(fn(*args, **kwargs))
+        sets = fn(*args, **kwargs)
         made.append((fn.__name__, weakref.ref(sets)))
         return sets
 
@@ -250,6 +250,46 @@ def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages
     assert run("eval", cfg_path, out) == 0
     # the model, and each method's sets once scored, are gone before the next method runs
     assert alive_at_call == [["model"], [], []]
+
+
+# Runs one stage in a fresh interpreter and reports its exit code and which
+# of the modules that load OpenSSL (_hashlib, also reached through
+# numpy.random's import of secrets) it left in sys.modules.
+STAGE_PROBE = """
+import json, sys
+from prefetchlab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("_hashlib", "numpy.random") if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("cfg,fresh,in_process", [
+    (STRIDE_CFG, ("simulate", "vocab"), ("train",)),
+    (REGION_CFG, ("simulate",), ("cluster", "train")),
+])
+def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in_process):
+    """Only the cluster and train stages draw random numbers or hash the
+    config; simulate, vocab and eval import neither numpy.random nor
+    hashlib's OpenSSL module, so their peak RSS stays ~5.6 MB lower."""
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+
+    def fresh_stage(stage):
+        proc = subprocess.run(
+            [sys.executable, "-c", STAGE_PROBE, stage, "--config", cfg_path, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    for stage in fresh:
+        assert fresh_stage(stage) == [0, []], stage
+    for stage in in_process:
+        assert run(stage, cfg_path, out) == 0
+    assert fresh_stage("eval") == [0, []]
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prefetchlab.eval import (
-    PredictionSet,
+    Predictions,
     canonical_json,
     config_hash,
     geometric_mean,
@@ -20,44 +20,53 @@ from prefetchlab.eval import (
 from prefetchlab.errors import DataError
 
 
-def ps(timestep, predicted, true_delta):
-    return PredictionSet(timestep, tuple(predicted), true_delta)
+def ps(*rows, width=None):
+    """A Predictions record of (timestep, predicted, true_delta) rows."""
+    if width is None:
+        width = max((len(r[1]) for r in rows), default=0)
+    out = Predictions(np.array([r[0] for r in rows], dtype=np.int64),
+                      np.zeros((len(rows), width), dtype=np.int64),
+                      np.array([len(r[1]) for r in rows], dtype=np.int64),
+                      np.array([r[2] for r in rows], dtype=np.int64))
+    for i, (_, predicted, _) in enumerate(rows):
+        out.predicted[i, : len(predicted)] = predicted
+    return out
 
 
 def test_precision_hand_values():
-    sets = [
-        ps(0, [1, 2, 3], 2),  # hit
-        ps(1, [4], 4),  # hit
-        ps(2, [1, 2], 9),  # miss
-        ps(3, [], 1),  # empty set counts as miss
-    ]
+    sets = ps(
+        (0, [1, 2, 3], 2),  # hit
+        (1, [4], 4),  # hit
+        (2, [1, 2], 9),  # miss
+        (3, [], 1),  # empty set counts as miss
+    )
     assert precision_at_k(sets) == pytest.approx(0.5)
 
 
 def test_precision_respects_k():
-    sets = [ps(0, list(range(20)), 15)]
+    sets = ps((0, list(range(20)), 15))
     assert precision_at_k(sets, k=10) == 0.0  # 15 is past the cutoff
     assert precision_at_k(sets, k=16) == 1.0
 
 
 def test_precision_empty_input_rejected():
     with pytest.raises(DataError):
-        precision_at_k([])
+        precision_at_k(ps())
 
 
 def test_recall_hand_values():
     # union(true) = {1, 2, 3, 4}; union(pred) = {1, 2, 9} -> overlap {1, 2}
-    sets = [
-        ps(0, [1, 9], 1),
-        ps(1, [2], 2),
-        ps(2, [], 3),
-        ps(3, [1, 2], 4),
-    ]
+    sets = ps(
+        (0, [1, 9], 1),
+        (1, [2], 2),
+        (2, [], 3),
+        (3, [1, 2], 4),
+    )
     assert recall_at_k(sets) == pytest.approx(0.5)
 
 
 def test_recall_respects_k():
-    sets = [ps(0, [7, 8], 8), ps(1, [9], 9)]
+    sets = ps((0, [7, 8], 8), (1, [9], 9))
     # k=1 keeps {7, 9}; true union {8, 9}; overlap {9}
     assert recall_at_k(sets, k=1) == pytest.approx(0.5)
     assert recall_at_k(sets, k=2) == pytest.approx(1.0)
@@ -65,11 +74,62 @@ def test_recall_respects_k():
 
 def test_recall_empty_input_rejected():
     with pytest.raises(DataError):
-        recall_at_k([])
+        recall_at_k(ps())
+
+
+def oracle_precision(rows, k):
+    return sum(1 for _, predicted, true in rows if true in predicted[:k]) / len(rows)
+
+
+def oracle_recall(rows, k):
+    predicted = {d for _, row, _ in rows for d in row[:k]}
+    true = {true for _, _, true in rows}
+    return len(predicted & true) / len(true)
+
+
+EDGE_DELTAS = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 2, (1 << 63) - 1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_columnar_scoring_equals_per_row_oracle(seed):
+    """Precision and recall counted on the arrays equal a per-row Python
+    count, exactly: empty and short rows, k below and above the width,
+    deltas repeated within and across rows and deltas near +-2**63."""
+    rng = np.random.default_rng(seed)
+    pool = EDGE_DELTAS + rng.integers(-50, 50, size=8).tolist()
+    width = int(rng.integers(1, 13))
+    rows = []
+    for t in range(int(rng.integers(1, 60))):
+        n = int(rng.integers(0, width + 1))
+        predicted = [pool[i] for i in rng.integers(0, len(pool), size=n)]
+        rows.append((t, predicted, pool[int(rng.integers(0, len(pool)))]))
+    sets = ps(*rows, width=width)
+    for k in (1, 3, width, width + 5):
+        assert precision_at_k(sets, k) == oracle_precision(rows, k)
+        assert recall_at_k(sets, k) == oracle_recall(rows, k)
+
+
+def test_scoring_ignores_slots_past_a_rows_set():
+    # slot values past n_predicted never count, even when they equal the truth
+    sets = ps((0, [3], 5), (1, [], 0), width=4)
+    sets.predicted[:] = [[3, 5, 5, 5], [0, 0, 0, 0]]
+    assert precision_at_k(sets) == 0.0
+    assert recall_at_k(sets) == 0.0
+
+
+def test_predictions_select_rows():
+    sets = ps((4, [1], 1), (5, [2, 3], 9), (6, [], 7))
+    assert len(sets) == 3
+    tail = sets[1:]
+    assert tail.timestep.tolist() == [5, 6]
+    assert tail.n_predicted.tolist() == [2, 0]
+    late = sets[sets.timestep >= 5]
+    assert late.true_delta.tolist() == [9, 7]
+    assert late.predicted.tolist() == [[2, 3], [0, 0]]
 
 
 def test_metrics_summary_fields():
-    sets = [ps(0, [5], 5), ps(1, [5], 6)]
+    sets = ps((0, [5], 5), (1, [5], 6))
     out = metrics_summary(sets, k=10)
     assert out == {
         "precision_at_k": 0.5,

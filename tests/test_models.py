@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,15 @@ from prefetchlab.models import (
 )
 from prefetchlab.trace import MissStream
 from prefetchlab.vocab import build_pc_vocab, build_vocab, compute_deltas
+
+
+Row = namedtuple("Row", "timestep predicted true_delta")
+
+
+def rows_of(p):
+    """A Predictions record's rows as (timestep, set, true delta) Python values."""
+    return [Row(t, tuple(row[:n]), d) for t, row, n, d in zip(
+        p.timestep.tolist(), p.predicted.tolist(), p.n_predicted.tolist(), p.true_delta.tolist())]
 
 
 def misses_from_lines(lines, pcs=None):
@@ -485,7 +495,7 @@ def test_embedding_prediction_sets_cover_test_region():
         seed=0,
     )
     ds = embedding_dataset(misses, vocab, pc_vocab)
-    sets = embedding_prediction_sets(model, ds, vocab, test_start=70, k=3)
+    sets = rows_of(embedding_prediction_sets(model, ds, vocab, test_start=70, k=3))
     # events with target index 70..99
     assert len(sets) == 30
     assert sets[0].timestep == 69
@@ -503,13 +513,13 @@ def test_cluster_prediction_sets_respect_test_start_and_vocab():
     )
     norms = np.array([[0.0, 1.0], [0.0, 1.0]])
     ds = cluster_dataset(misses, assignments, vocabs, norms, model)
-    sets = cluster_prediction_sets(model, ds, vocabs, test_start=0, k=10)
+    sets = rows_of(cluster_prediction_sets(model, ds, vocabs, test_start=0, k=10))
     assert len(sets) == 8  # 10 misses, 2 clusters -> 8 within-cluster events
     # all predicted deltas decode into the right cluster's vocabulary
     for s in sets:
         assert all(isinstance(p, int) for p in s.predicted)
     # restricting the test region drops early-target events
-    late = cluster_prediction_sets(model, ds, vocabs, test_start=7, k=10)
+    late = rows_of(cluster_prediction_sets(model, ds, vocabs, test_start=7, k=10))
     assert 0 < len(late) < len(sets)
     assert sorted(s.timestep for s in late) == [s.timestep for s in late]
 
@@ -517,9 +527,8 @@ def test_cluster_prediction_sets_respect_test_start_and_vocab():
 def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
     """The decoding before lookup arrays: every event and id one at a time
     through a class-id -> delta dict, `vocabs` holding one vocab per row."""
-    from prefetchlab.eval import PredictionSet
-
-    decode = [None if v is None else dict(enumerate(v.output_deltas())) for v in vocabs]
+    decode = [None if v is None else dict(enumerate(v.deltas[: v.n_output].tolist()))
+              for v in vocabs]
     if isinstance(model, ClusterPrefetcher):
         ds, length = dataset, dataset["length"]
     else:  # one row holding the whole stream
@@ -538,8 +547,7 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
                     continue
                 preds = tuple(decode[c][int(i)] for i in ids[t - lo, c]
                               if i >= 0 and decode[c] is not None)
-                out.append(PredictionSet(int(ds["timestep"][c, t]), preds,
-                                         int(ds["delta_raw"][c, t])))
+                out.append(Row(int(ds["timestep"][c, t]), preds, int(ds["delta_raw"][c, t])))
     out.sort(key=lambda s: s.timestep)
     return out
 
@@ -558,7 +566,7 @@ def test_prediction_sets_equal_per_event_decoding():
     norms = np.array([[0.0, 4.0], [0.0, 4.0], [0.0, 1.0]])
     ds = cluster_dataset(misses, assignments, vocabs, norms, model)
     for test_start, k, window in ((210, 10, 512), (0, 3, 7), (250, 2, 1)):
-        got = cluster_prediction_sets(model, ds, vocabs, test_start, k, window)
+        got = rows_of(cluster_prediction_sets(model, ds, vocabs, test_start, k, window))
         assert got == per_event_prediction_sets(model, ds, vocabs, test_start, k, window)
 
     vocab = build_vocab(compute_deltas(misses.line[:210]), max_output=3, min_input_count=2)
@@ -567,7 +575,7 @@ def test_prediction_sets_equal_per_event_decoding():
                                 hidden=6, embed=3, layers=2, seed=5)
     ds = embedding_dataset(misses, vocab, pc_vocab)
     for test_start, k, window in ((210, 10, 512), (0, 2, 7)):
-        got = embedding_prediction_sets(model, ds, vocab, test_start, k, window)
+        got = rows_of(embedding_prediction_sets(model, ds, vocab, test_start, k, window))
         assert got == per_event_prediction_sets(model, ds, [vocab], test_start, k, window)
 
 
@@ -603,7 +611,7 @@ def test_warm_up_windows_skip_the_head(monkeypatch):
 
         monkeypatch.setattr(model, "predict_topk", counted)
         sets_fn = embedding_prediction_sets if model is emb else cluster_prediction_sets
-        got = sets_fn(model, ds, vs, test_start, 3, window)
+        got = rows_of(sets_fn(model, ds, vs, test_start, 3, window))
         monkeypatch.undo()
         assert len(calls) == math.ceil(rows.shape[1] / window) - first // window
         ref_vocabs = [vs] if model is emb else vs
@@ -692,6 +700,25 @@ def test_cluster_model_checkpoint_roundtrip(tmp_path):
     assert loaded.head_size == model.head_size
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: tiny_embedding_model(seed=seed, dtype=np.float32),
+    lambda seed: ClusterPrefetcher(vocab_sizes=[3, 7, 2], hidden=5, layers=2, seed=seed),
+])
+def test_seed_none_builds_placeholders_for_load_weights(tmp_path, build):
+    """seed=None draws nothing: each tensor has the seeded model's name,
+    shape and dtype, holds only zeros (the forget biases aside), and
+    load_weights fills it with the saved tensors."""
+    model, placeholder = build(0), build(None)
+    assert list(placeholder.params) == list(model.params)
+    for name, p in placeholder.params.items():
+        assert (p.shape, p.dtype) == (model.params[name].shape, model.params[name].dtype)
+        assert not np.any(p) or name.endswith("_b"), name
+    save_model(model, tmp_path / "m.bin")
+    load_weights(placeholder, tmp_path / "m.bin")
+    for name, p in model.params.items():
+        assert np.array_equal(placeholder.params[name], p)
 
 
 def test_load_weights_rejects_mismatched_checkpoints(tmp_path):

@@ -73,7 +73,7 @@ def test_vocab_output_is_prefix_of_input():
     rng = random.Random(7)
     deltas = [rng.randrange(-50, 50) for _ in range(5000)]
     v = build_vocab(deltas, max_output=10, min_input_count=3)
-    assert v.output_deltas() == v.deltas[: v.n_input].tolist()[:10]
+    assert v.deltas[: v.n_output].tolist() == v.deltas[: v.n_input].tolist()[:10]
     assert v.n_output == 10
     assert v.n_input >= v.n_output
 
@@ -100,7 +100,7 @@ def test_encode_decode_roundtrip():
     deltas = [rng.choice([-8, -1, 1, 2, 64, 1000]) for _ in range(2000)]
     v = build_vocab(deltas, max_output=6, min_input_count=1)
     ids = v.encode_output(deltas[:100])
-    assert [v.output_deltas()[i] for i in ids] == deltas[:100]
+    assert v.deltas[: v.n_output][ids].tolist() == deltas[:100]
     # an int64 delta array encodes like the list, and builds the same vocab
     array = np.array(deltas, dtype=np.int64)
     assert np.array_equal(v.encode_output(array[:100]), ids)
@@ -303,7 +303,7 @@ def test_vocab_matches_counter_oracle(tmp_path):
         v = build_vocab(np.array(deltas, dtype=np.int64), max_output, min_count)
         oracle = OracleVocab(Counter(deltas), max_output, min_count)
         assert (v.n_input, v.n_output) == (len(oracle.input_id), len(oracle.output_id))
-        assert v.output_deltas() == list(oracle.output_id)
+        assert v.deltas[: v.n_output].tolist() == list(oracle.output_id)
         assert v.output_coverage() == (
             sum(oracle.counts[d] for d in oracle.output_id) / sum(oracle.counts.values()))
         probe = deltas + [rng.randrange(-(2**63), 2**63) for _ in range(100)]
@@ -376,7 +376,7 @@ def test_tampered_vocab_file_refused_like_counter_oracle(tmp_path):
         v = load_vocab(case)
         assert v.deltas.tolist() == [d for d, _ in oracle.ranked]
         assert v.counts.tolist() == [c for _, c in oracle.ranked]
-        assert v.output_deltas() == list(oracle.output_id)
+        assert v.deltas[: v.n_output].tolist() == list(oracle.output_id)
     assert True in verdicts and False in verdicts
 
     # a delta stored twice is refused (the dict loader kept the last entry)
