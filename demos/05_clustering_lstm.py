@@ -20,18 +20,19 @@ n_train = split_index(len(misses), 0.7)
 
 km = clustering.kmeans_fit(misses.line[:n_train], k=3, seed=4)
 print("centroids (line addrs):", [f"{c:.3e}" for c in km.centroids])
-stream = clustering.partition_stream(misses, km, train_len=n_train)
-for cid, n in enumerate(np.bincount(stream.assignments, minlength=km.k).tolist()):
-    print(f"  cluster {cid}: {n} misses")
+norms = clustering.partition_stream(misses, km, n_train)
+per_cluster = clustering.cluster_deltas(misses.line, km.assign(misses.line), km.k)
+for cid, (idx, _) in enumerate(per_cluster):
+    print(f"  cluster {cid}: {len(idx)} misses")
 
-vocabs = models.build_cluster_vocabs(misses, stream.assignments, n_train, min_input_count=1)
+vocabs = models.build_cluster_vocabs(per_cluster, n_train, min_input_count=1)
 print("per-cluster output classes:", [v.n_output if v else None for v in vocabs])
 
 model = models.ClusterPrefetcher(
     vocab_sizes=[v.n_output if v else 0 for v in vocabs],
     hidden=64, layers=2, dtype=np.float32, seed=4,
 )
-dataset = models.cluster_dataset(misses, stream.assignments, vocabs, stream.norm_params, model)
+dataset = models.cluster_dataset(per_cluster, vocabs, norms, model)
 batches = dict(dataset)
 batches["label"] = np.where(dataset["target_index"] < n_train, dataset["label"], -1)
 

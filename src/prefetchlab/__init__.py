@@ -14,7 +14,6 @@ from .cachesim import (
     simulate,
 )
 from .clustering import (
-    ClusteredStream,
     ClusterModel,
     kmeans_fit,
     normalize_deltas,

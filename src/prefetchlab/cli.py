@@ -20,7 +20,6 @@ import argparse
 import csv
 import ctypes
 import dataclasses
-import functools
 import math
 import os
 import sys
@@ -51,29 +50,6 @@ _SPEC_KINDS = {
     "linked_list": trace.LinkedListSpec,
 }
 
-DEFAULTS = {
-    "seed": 0,
-    "vocab": {"max_output": 50_000, "min_input_count": 10},
-    "cluster": {"k": 3, "max_iters": 100, "min_input_count": 1},
-    "model": {
-        "type": "embedding",
-        "hidden": 128,
-        "embed": 64,
-        "layers": 2,
-        "modality": "both",
-        "dtype": "float32",
-    },
-    "train": {
-        "steps": 1000,
-        "batch": 64,
-        "window": 64,
-        "optimizer": "adam",
-        "lr": None,
-        "clip": 5.0,
-    },
-    "eval": {"k": 10, "split": 0.7, "baselines": True},
-}
-
 
 def _int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -92,30 +68,37 @@ def _one_of(*choices):
 
 
 _POSITIVE_INT = (_positive_int, "an integer >= 1")
-# key path -> (check, what the value must be); the trace: and cache: sections
-# are checked by building their specs
-VALUE_CHECKS = {
-    ("seed",): (_int, "an integer"),
-    ("vocab", "max_output"): _POSITIVE_INT,
-    ("vocab", "min_input_count"): _POSITIVE_INT,
-    ("cluster", "k"): _POSITIVE_INT,
-    ("cluster", "max_iters"): _POSITIVE_INT,
-    ("cluster", "min_input_count"): _POSITIVE_INT,
-    ("model", "hidden"): _POSITIVE_INT,
-    ("model", "embed"): _POSITIVE_INT,
-    ("model", "layers"): _POSITIVE_INT,
-    ("model", "type"): _one_of("embedding", "cluster"),
-    ("model", "modality"): _one_of("both", "delta_only", "pc_only"),
-    ("model", "dtype"): _one_of("float32", "float64"),
-    ("train", "steps"): _POSITIVE_INT,
-    ("train", "batch"): _POSITIVE_INT,
-    ("train", "window"): _POSITIVE_INT,
-    ("train", "lr"): (lambda v: v is None or _positive_number(v), "null or a number > 0"),
-    ("train", "clip"): (_positive_number, "a number > 0"),
-    ("train", "optimizer"): _one_of("adam", "adagrad"),
-    ("eval", "k"): _POSITIVE_INT,
-    ("eval", "split"): (lambda v: _positive_number(v) and v < 1, "a number in (0, 1)"),
-    ("eval", "baselines"): (lambda v: isinstance(v, bool), "true or false"),
+# section (None: the top level) -> key -> (default, check, what the value
+# must be); the trace: and cache: sections are checked by building their specs
+CONFIG_KEYS = {
+    None: {"seed": (0, _int, "an integer")},
+    "vocab": {"max_output": (50_000, *_POSITIVE_INT), "min_input_count": (10, *_POSITIVE_INT)},
+    "cluster": {
+        "k": (3, *_POSITIVE_INT),
+        "max_iters": (100, *_POSITIVE_INT),
+        "min_input_count": (1, *_POSITIVE_INT),
+    },
+    "model": {
+        "type": ("embedding", *_one_of("embedding", "cluster")),
+        "hidden": (128, *_POSITIVE_INT),
+        "embed": (64, *_POSITIVE_INT),
+        "layers": (2, *_POSITIVE_INT),
+        "modality": ("both", *_one_of("both", "delta_only", "pc_only")),
+        "dtype": ("float32", *_one_of("float32", "float64")),
+    },
+    "train": {
+        "steps": (1000, *_POSITIVE_INT),
+        "batch": (64, *_POSITIVE_INT),
+        "window": (64, *_POSITIVE_INT),
+        "optimizer": ("adam", *_one_of("adam", "adagrad")),
+        "lr": (None, lambda v: v is None or _positive_number(v), "null or a number > 0"),
+        "clip": (5.0, _positive_number, "a number > 0"),
+    },
+    "eval": {
+        "k": (10, *_POSITIVE_INT),
+        "split": (0.7, lambda v: _positive_number(v) and v < 1, "a number in (0, 1)"),
+        "baselines": (True, lambda v: isinstance(v, bool), "true or false"),
+    },
 }
 
 # libyaml's parser when PyYAML was built with it; both build the same dicts
@@ -123,11 +106,11 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path, seed: int | None = None) -> dict:
-    """Config file merged over DEFAULTS.
+    """Config file merged over the defaults of CONFIG_KEYS.
 
-    Keys inside a DEFAULTS section must be known, and the keys of
-    VALUE_CHECKS must pass their check; unknown top-level keys pass
-    through. Raises ConfigError naming the file (and key) otherwise.
+    Keys inside a CONFIG_KEYS section must be known, and every key of
+    CONFIG_KEYS must pass its check; unknown top-level keys pass through.
+    Raises ConfigError naming the file (and key) otherwise.
     """
     with open(path) as f:
         try:
@@ -136,27 +119,27 @@ def load_config(path, seed: int | None = None) -> dict:
             raise ConfigError(f"{path}: invalid YAML: {' '.join(str(e).split())}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    if seed is not None:
+        cfg["seed"] = seed
     merged = {}
-    for key, defaults in DEFAULTS.items():
-        if isinstance(defaults, dict):
-            given = {} if cfg.get(key) is None else cfg[key]
-            if not isinstance(given, dict):
-                raise ConfigError(f"{path}: {key} must be a mapping, got {given!r}")
-            unknown = sorted(set(given) - set(defaults), key=str)
-            if unknown:
-                raise ConfigError(f"{path}: unknown key {key}.{unknown[0]}")
-            merged[key] = {**defaults, **given}
+    for section, keys in CONFIG_KEYS.items():
+        if section is None:
+            given, into, prefix = cfg, merged, ""
         else:
-            merged[key] = cfg.get(key, defaults)
+            given, into, prefix = cfg.get(section), merged.setdefault(section, {}), f"{section}."
+            given = {} if given is None else given
+            if not isinstance(given, dict):
+                raise ConfigError(f"{path}: {section} must be a mapping, got {given!r}")
+            unknown = sorted(set(given) - set(keys), key=str)
+            if unknown:
+                raise ConfigError(f"{path}: unknown key {section}.{unknown[0]}")
+        for key, (default, ok, want) in keys.items():
+            value = into[key] = given.get(key, default)
+            if not ok(value):
+                raise ConfigError(f"{path}: {prefix}{key} must be {want}, got {value!r}")
     for key in cfg:
         if key not in merged:
             merged[key] = cfg[key]
-    if seed is not None:
-        merged["seed"] = seed
-    for keys, (ok, want) in VALUE_CHECKS.items():
-        value = functools.reduce(dict.__getitem__, keys, merged)
-        if not ok(value):
-            raise ConfigError(f"{path}: {'.'.join(keys)} must be {want}, got {value!r}")
     try:
         hierarchy_from_config(merged)
         if merged.get("trace") is not None:
@@ -295,8 +278,8 @@ def run_cluster(cfg: dict, out_dir: str) -> dict:
         max_iters=cfg["cluster"]["max_iters"],
         seed=cfg["seed"],
     )
-    stream = clustering.partition_stream(misses, model, train_len=n_train)
-    clustering.save_cluster_model(model, os.path.join(out_dir, CLUSTER_FILE), stream.norm_params)
+    norms = clustering.partition_stream(misses, model, n_train)
+    clustering.save_cluster_model(model, os.path.join(out_dir, CLUSTER_FILE), norms)
     return {"k": model.k, "inertia": model.inertia, "n_iters": model.n_iters}
 
 
@@ -318,18 +301,16 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int, seed: int | None):
         )
         return model, models.embedding_dataset(misses, v, pc_vocab), v
     cmodel, norms = clustering.load_cluster_model(_require(out_dir, CLUSTER_FILE))
-    if norms is None:
-        raise DataError("cluster model file lacks normalization params")
-    assignments = cmodel.assign(misses.line)
+    per_cluster = clustering.cluster_deltas(misses.line, cmodel.assign(misses.line), cmodel.k)
     vocabs = models.build_cluster_vocabs(
-        misses, assignments, n_train, max_output=cfg["vocab"]["max_output"],
+        per_cluster, n_train, max_output=cfg["vocab"]["max_output"],
         min_input_count=cfg["cluster"]["min_input_count"],
     )
     model = models.ClusterPrefetcher(
         [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
         layers=mcfg["layers"], dtype=dtype, seed=seed,
     )
-    return model, models.cluster_dataset(misses, assignments, vocabs, norms, model), vocabs
+    return model, models.cluster_dataset(per_cluster, vocabs, norms, model), vocabs
 
 
 def _trained(cfg: dict, out_dir: str):

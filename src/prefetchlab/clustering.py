@@ -3,9 +3,10 @@
 Addresses are clustered at line granularity as a frequency-weighted
 multiset. Fitting is standard Lloyd iteration with k-means++ seeding from
 a fixed RNG seed; an empty cluster is reseeded to the point farthest from
-its nearest centroid. Within each cluster, deltas are computed between
-consecutive misses of that cluster, and normalized with mean/std taken
-from the training split only.
+its nearest centroid. A stage splits the miss stream into its clusters'
+delta streams once (`cluster_deltas`) and passes the split on;
+`train_deltas` picks each cluster's training deltas, whose mean/std
+normalize that cluster's deltas and are checked when `clusters.bin` loads.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ def kmeans_fit(
     x = np.asarray(addresses, dtype=np.float64)
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if len(np.unique(x)) < k:
-        raise ConfigError(f"need at least {k} distinct addresses, got {len(np.unique(x))}")
+    # with counts, np.unique does not import numpy.ma
+    n_distinct = len(np.unique(x, return_counts=True)[1])
+    if n_distinct < k:
+        raise ConfigError(f"need at least {k} distinct addresses, got {n_distinct}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -97,35 +100,17 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClusteredStream:
-    """The cluster of every miss, and each cluster's delta normalization."""
-
-    assignments: np.ndarray  # cluster id per input miss
-    norm_params: np.ndarray  # (k, 2): mean, std per cluster (train split only)
-
-
-def partition_stream(
-    misses: MissStream, model: ClusterModel, train_len: int | None = None
-) -> ClusteredStream:
-    """Assign every miss to a cluster and normalize each cluster's deltas.
-
-    `train_len` bounds the miss prefix whose deltas feed the normalization
-    parameters (both endpoints of a delta must fall inside the prefix);
-    None uses the whole stream.
-    """
-    if train_len is None:
-        train_len = len(misses)
-    assignments = model.assign(misses.line)
-
-    norm = np.zeros((model.k, 2), dtype=np.float64)
-    norm[:, 1] = 1.0
-    for c, (idx, deltas) in enumerate(cluster_deltas(misses.line, assignments, model.k)):
-        train = deltas[idx[1:] < train_len].astype(np.float64)
+def partition_stream(misses: MissStream, model: ClusterModel, train_len: int) -> np.ndarray:
+    """(k, 2) mean and std of each cluster's training deltas: (0, 1) for a
+    cluster with none, and a zero std taken as 1, so every std is > 0."""
+    norm = np.tile([0.0, 1.0], (model.k, 1))
+    per_cluster = cluster_deltas(misses.line, model.assign(misses.line), model.k)
+    for c, (idx, deltas) in enumerate(per_cluster):
+        train = train_deltas(idx, deltas, train_len).astype(np.float64)
         if len(train):
             std = float(train.std())
             norm[c] = (float(train.mean()), std if std > 0 else 1.0)
-    return ClusteredStream(assignments=assignments, norm_params=norm)
+    return norm
 
 
 def cluster_deltas(
@@ -144,11 +129,16 @@ def cluster_deltas(
     return out
 
 
+def train_deltas(idx: np.ndarray, deltas: np.ndarray, train_len: int) -> np.ndarray:
+    """The deltas of one cluster (`cluster_deltas`) that are training data:
+    those whose both endpoint misses fall inside the first `train_len`.
+    `idx` ascends, so they are a prefix."""
+    return deltas[: np.searchsorted(idx[1:], train_len)]
+
+
 def normalize_deltas(deltas: np.ndarray, params) -> np.ndarray:
-    """(delta - mean) / std as float64; std must come pre-clamped (>0)."""
+    """(delta - mean) / std as float64; std > 0, as `load_cluster_model` checks."""
     mean, std = float(params[0]), float(params[1])
-    if std <= 0:
-        std = 1.0
     return (np.asarray(deltas, dtype=np.float64) - mean) / std
 
 
@@ -161,24 +151,21 @@ _KM_HEADER = struct.Struct("<IQQdB")  # version, k, n_iters, inertia, has_norms
 KMEANS_VERSION = 1
 
 
-def save_cluster_model(model: ClusterModel, path, norm_params: np.ndarray | None = None) -> None:
-    """Versioned file: k, centroids, optional per-cluster norm params."""
+def save_cluster_model(model: ClusterModel, path, norm_params: np.ndarray) -> None:
+    """Versioned file: k, centroids, per-cluster (mean, std) norm params."""
+    if norm_params.shape != (model.k, 2):
+        raise ConfigError("norm_params must have shape (k, 2)")
     with open(path, "wb") as f:
         f.write(KMEANS_MAGIC)
-        f.write(
-            _KM_HEADER.pack(
-                KMEANS_VERSION, model.k, model.n_iters, model.inertia,
-                1 if norm_params is not None else 0,
-            )
-        )
+        f.write(_KM_HEADER.pack(KMEANS_VERSION, model.k, model.n_iters, model.inertia, 1))
         f.write(np.ascontiguousarray(model.centroids, dtype="<f8").tobytes())
-        if norm_params is not None:
-            if norm_params.shape != (model.k, 2):
-                raise ConfigError("norm_params must have shape (k, 2)")
-            f.write(np.ascontiguousarray(norm_params, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(norm_params, dtype="<f8").tobytes())
 
 
-def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray | None]:
+def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray]:
+    """The cluster model and its (k, 2) norm params. Raises TraceFormatError
+    naming `path` unless the file is whole, its has-norms flag is 1, every
+    centroid and norm param is finite and every std is > 0."""
     with open(path, "rb") as f:
         magic = f.read(len(KMEANS_MAGIC))
         if magic != KMEANS_MAGIC:
@@ -188,10 +175,12 @@ def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray | None]:
         )
         if version != KMEANS_VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
+        if has_norms != 1:
+            raise TraceFormatError(f"{path}: has-norms flag is {has_norms}, not 1")
         centroids = np.frombuffer(read_exact(f, 8 * k, path), dtype="<f8").copy()
-        norms = None
-        if has_norms:
-            norms = np.frombuffer(read_exact(f, 16 * k, path), dtype="<f8").reshape(k, 2).copy()
-    model = ClusterModel(k=k, centroids=centroids, n_iters=n_iters, inertia=inertia)
-    return model, norms
-
+        norms = np.frombuffer(read_exact(f, 16 * k, path), dtype="<f8").reshape(k, 2).copy()
+    if not (np.isfinite(centroids).all() and np.isfinite(norms).all()):
+        raise TraceFormatError(f"{path}: non-finite centroid or norm param")
+    if not (norms[:, 1] > 0).all():
+        raise TraceFormatError(f"{path}: norm std must be > 0, got {norms[:, 1].tolist()}")
+    return ClusterModel(k=k, centroids=centroids, n_iters=n_iters, inertia=inertia), norms

@@ -38,7 +38,7 @@ from .lstm import (
     uniform_init,
     zero_states,
 )
-from .clustering import cluster_deltas, normalize_deltas
+from .clustering import normalize_deltas, train_deltas
 from .trace import MissStream
 from .vocab import DeltaVocab, build_vocab
 
@@ -310,40 +310,25 @@ def embedding_dataset(misses: MissStream, delta_vocab: DeltaVocab, pc_vocab) -> 
     }
 
 
-def build_cluster_vocabs(
-    misses: MissStream,
-    assignments: np.ndarray,
-    train_len: int,
-    max_output: int = 50_000,
-    min_input_count: int = 1,
-) -> list[DeltaVocab | None]:
-    """Per-cluster vocabularies from training-split deltas only.
-
-    A delta counts as training data when both of its endpoint misses fall
-    inside the train prefix. Clusters with no training deltas get None.
-    """
-    k = int(assignments.max()) + 1 if len(assignments) else 0
+def build_cluster_vocabs(per_cluster: list, train_len: int, max_output: int = 50_000,
+                         min_input_count: int = 1) -> list[DeltaVocab | None]:
+    """The vocabulary of each cluster's training deltas (`train_deltas`) in
+    `clustering.cluster_deltas`' split; None where a cluster has none."""
     vocabs: list[DeltaVocab | None] = []
-    for idx, deltas in cluster_deltas(misses.line, assignments, k):
-        ds = deltas[idx[1:] < train_len]
+    for idx, deltas in per_cluster:
+        ds = train_deltas(idx, deltas, train_len)
         vocabs.append(build_vocab(ds, max_output, min_input_count) if len(ds) else None)
     return vocabs
 
 
-def cluster_dataset(
-    misses: MissStream,
-    assignments: np.ndarray,
-    vocabs: list[DeltaVocab | None],
-    norm_params: np.ndarray,
-    model: ClusterPrefetcher,
-) -> dict:
-    """Padded (k, max_len) arrays, one row per cluster.
+def cluster_dataset(per_cluster: list, vocabs: list[DeltaVocab | None],
+                    norm_params: np.ndarray, model: ClusterPrefetcher) -> dict:
+    """Padded (k, max_len) arrays, one row per cluster of `per_cluster`.
 
-    Row c holds cluster c's within-cluster events in order; events past a
-    cluster's length carry label -1 and are ignored by the loss.
+    Row c holds cluster c's within-cluster events in order; the cells past
+    a cluster's last event carry label, target_index and timestep -1.
     """
     k = model.k
-    per_cluster = cluster_deltas(misses.line, assignments, k)
     max_len = max((len(raw) for _, raw in per_cluster), default=0)
     out = {
         "norm_delta": np.zeros((k, max_len), dtype=np.float64),
@@ -352,7 +337,6 @@ def cluster_dataset(
         "target_index": np.full((k, max_len), -1, dtype=np.int64),
         "timestep": np.full((k, max_len), -1, dtype=np.int64),
         "cluster_id": np.tile(np.arange(k, dtype=np.int64)[:, None], (1, max_len)),
-        "length": np.array([len(raw) for _, raw in per_cluster], dtype=np.int64),
     }
     for c, (idx, raw) in enumerate(per_cluster):
         n_ev = len(raw)
@@ -557,10 +541,9 @@ def cluster_prediction_sets(model: ClusterPrefetcher, dataset: dict,
                             vocabs: list[DeltaVocab | None], test_start: int, k: int = 10,
                             window: int = 512) -> Predictions:
     """Each cluster's stream from its start, events whose target miss
-    index is >= test_start kept, merged in timestep order."""
-    keep = (dataset["target_index"] >= test_start) & (
-        np.arange(dataset["label"].shape[1]) < dataset["length"][:, None]
-    )
+    index is >= test_start (>= 0) kept, merged in timestep order; padding
+    cells carry target index -1."""
+    keep = dataset["target_index"] >= test_start
     tables = [np.zeros(0, dtype=np.int64) if v is None else v.deltas[: v.n_output]
               for v in vocabs]
     return _prediction_sets(model, dataset, tables, keep, min(k, model.head_size), k, window)

@@ -120,8 +120,6 @@ class StrideSpec:
     pc: int = 0x400000
     seed: int = 0
 
-    kind = "stride"
-
 
 @dataclass(frozen=True)
 class MultiStrideSpec:
@@ -138,8 +136,6 @@ class MultiStrideSpec:
     starts: tuple[int, ...] | None = None
     pcs: tuple[int, ...] | None = None
     seed: int = 0
-
-    kind = "multi-stride"
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,6 @@ class PcCorrelatedSpec:
     pcs: tuple[int, ...] | None = None
     seed: int = 0
 
-    kind = "pc-correlated"
-
 
 @dataclass(frozen=True)
 class RegionHoppingSpec:
@@ -195,7 +189,6 @@ class RegionHoppingSpec:
     pcs: tuple[int, ...] | None = None
     seed: int = 0
 
-    kind = "region-hopping"
     base_spacing = 1 << 40
 
 
@@ -214,8 +207,6 @@ class LinkedListSpec:
     base: int = 0x20000000
     pc: int = 0x400000
     seed: int = 0
-
-    kind = "linked-list"
 
 
 SyntheticSpec = (

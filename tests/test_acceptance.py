@@ -389,16 +389,14 @@ def test_07_clustering_recall_advantage():
 
     # clustering model: k-means regions, per-cluster vocabs, tied weights
     km = clustering.kmeans_fit(misses.line[:n_train], k=3, seed=5)
-    stream = clustering.partition_stream(misses, km, train_len=n_train)
-    vocabs = models.build_cluster_vocabs(
-        misses, stream.assignments, n_train, min_input_count=1
-    )
+    norms = clustering.partition_stream(misses, km, n_train)
+    per_cluster = clustering.cluster_deltas(misses.line, km.assign(misses.line), km.k)
+    vocabs = models.build_cluster_vocabs(per_cluster, n_train, min_input_count=1)
     cm = models.ClusterPrefetcher(
         vocab_sizes=[vv.n_output if vv else 0 for vv in vocabs],
         hidden=64, layers=2, dtype=np.float32, seed=5,
     )
-    cds = models.cluster_dataset(misses, stream.assignments, vocabs,
-                                 stream.norm_params, cm)
+    cds = models.cluster_dataset(per_cluster, vocabs, norms, cm)
     cb = dict(cds)
     cb["label"] = np.where(cds["target_index"] < n_train, cds["label"], -1)
     models.train_model(cm, cb, models.TrainConfig(steps=400, window=64,

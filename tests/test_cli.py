@@ -8,6 +8,7 @@ import sys
 import types
 import weakref
 
+import numpy as np
 import pytest
 import yaml
 
@@ -254,23 +255,25 @@ def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages
 
 # Runs one stage in a fresh interpreter and reports its exit code and which
 # of the modules that load OpenSSL (_hashlib, also reached through
-# numpy.random's import of secrets) it left in sys.modules.
+# numpy.random's import of secrets) or numpy.ma it left in sys.modules.
 STAGE_PROBE = """
 import json, sys
 from prefetchlab.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("_hashlib", "numpy.random") if m in sys.modules)]))
+loaded = sorted(m for m in ("_hashlib", "numpy.ma", "numpy.random") if m in sys.modules)
+print(json.dumps([code, loaded]))
 """
 
 
 @pytest.mark.parametrize("cfg,fresh,in_process", [
     (STRIDE_CFG, ("simulate", "vocab"), ("train",)),
-    (REGION_CFG, ("simulate",), ("cluster", "train")),
+    (REGION_CFG, ("simulate", "cluster"), ("train",)),
 ])
 def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in_process):
     """Only the cluster and train stages draw random numbers or hash the
     config; simulate, vocab and eval import neither numpy.random nor
-    hashlib's OpenSSL module, so their peak RSS stays ~5.6 MB lower."""
+    hashlib's OpenSSL module, so their peak RSS stays ~5.6 MB lower. No
+    stage run here imports numpy.ma (np.unique without counts does)."""
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "run"
     src = pathlib.Path(cli.__file__).resolve().parent.parent
@@ -286,7 +289,8 @@ def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in
         return json.loads(proc.stdout.splitlines()[-1])
 
     for stage in fresh:
-        assert fresh_stage(stage) == [0, []], stage
+        random_modules = ["_hashlib", "numpy.random"] if stage == "cluster" else []
+        assert fresh_stage(stage) == [0, random_modules], stage
     for stage in in_process:
         assert run(stage, cfg_path, out) == 0
     assert fresh_stage("eval") == [0, []]
@@ -326,6 +330,20 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
 
 
+def tampered_clusters(data: bytes, k: int, case: str) -> bytes:
+    """clusters.bin with its has-norms flag (the header's last byte) or one
+    float changed; after the header come k centroids, then cluster c's
+    mean and std at float k + 2c and k + 2c + 1."""
+    header = len(cli.clustering.KMEANS_MAGIC) + cli.clustering._KM_HEADER.size
+    if case == "has_norms_0":
+        return data[: header - 1] + b"\x00" + data[header:]
+    values = np.frombuffer(data, dtype="<f8", offset=header).copy()
+    at, value = {"nan_std": (k + 1, np.nan), "zero_std": (k + 3, 0.0),
+                 "negative_std": (k + 5, -1.0), "inf_centroid": (1, np.inf)}[case]
+    values[at] = value
+    return data[:header] + values.tobytes()
+
+
 @pytest.mark.parametrize(
     "cfg,stages,artifacts",
     [
@@ -346,6 +364,9 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
         if artifact == "model.bin":
             at = data.index(b"<f8")  # the first stored dtype, its kind garbled
             damaged.append(("dtype <Z8", data[:at + 1] + b"Z" + data[at + 2:]))
+        if artifact == "clusters.bin":  # whole, but a flag or value out of range
+            damaged += [(case, tampered_clusters(data, cfg["cluster"]["k"], case)) for case in
+                        ("nan_std", "zero_std", "negative_std", "inf_centroid", "has_norms_0")]
         for how, content in damaged:
             path.write_bytes(content)
             capsys.readouterr()

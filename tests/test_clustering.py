@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from prefetchlab.clustering import (
+    KMEANS_MAGIC,
     ClusterModel,
     cluster_deltas,
     kmeans_fit,
@@ -12,6 +14,7 @@ from prefetchlab.clustering import (
     normalize_deltas,
     partition_stream,
     save_cluster_model,
+    train_deltas,
 )
 from prefetchlab.errors import ConfigError, DataError, TraceFormatError
 from prefetchlab.trace import MissStream, signed_delta
@@ -105,15 +108,16 @@ def test_partition_stream_per_cluster_deltas():
     lines = [100, 5000, 102, 5003, 105, 5009]
     misses = misses_from_lines(lines)
     model = ClusterModel(k=2, centroids=np.array([102.0, 5004.0]), n_iters=1, inertia=0.0)
-    stream = partition_stream(misses, model)
-    assert stream.assignments.tolist() == [0, 1, 0, 1, 0, 1]
-    (idx0, d0), (idx1, d1) = cluster_deltas(misses.line, stream.assignments, 2)
+    norms = partition_stream(misses, model, len(misses))
+    assignments = model.assign(misses.line)
+    assert assignments.tolist() == [0, 1, 0, 1, 0, 1]
+    (idx0, d0), (idx1, d1) = cluster_deltas(misses.line, assignments, 2)
     assert d0.tolist() == [2, 3]
     assert d1.tolist() == [3, 6]
     # deltas are indexed by the global miss numbers they run between
     assert idx0.tolist() == [0, 2, 4]
     assert idx1.tolist() == [1, 3, 5]
-    assert stream.norm_params.tolist() == [[2.5, 0.5], [4.5, 1.5]]
+    assert norms.tolist() == [[2.5, 0.5], [4.5, 1.5]]
 
 
 def test_partition_stream_merge_reproduces_assignment_order():
@@ -122,20 +126,21 @@ def test_partition_stream_merge_reproduces_assignment_order():
     # force line changes so deltas exist
     misses = misses_from_lines(lines)
     model = kmeans_fit(misses.line, k=2, seed=0)
-    stream = partition_stream(misses, model)
-    assert stream.assignments.tolist() == model.assign(lines).tolist()
-    per_cluster = cluster_deltas(misses.line, stream.assignments, 2)
+    assert partition_stream(misses, model, len(misses)).shape == (2, 2)
+    assignments = model.assign(misses.line)
+    assert assignments.tolist() == model.assign(lines).tolist()
+    per_cluster = cluster_deltas(misses.line, assignments, 2)
     merged = sorted((i, c) for c, (idx, _) in enumerate(per_cluster) for i in idx[:-1].tolist())
     # each cluster's last miss starts no delta; all others start one, in order
     expected = []
     last = {}
-    for i, c in enumerate(stream.assignments.tolist()):
+    for i, c in enumerate(assignments.tolist()):
         last[c] = i
-    for i, c in enumerate(stream.assignments.tolist()):
+    for i, c in enumerate(assignments.tolist()):
         if i != last[c]:
             expected.append((i, c))
     assert merged == expected
-    n_nonempty = len(set(stream.assignments.tolist()))
+    n_nonempty = len(set(assignments.tolist()))
     assert sum(len(d) for _, d in per_cluster) == len(misses) - n_nonempty
 
 
@@ -165,8 +170,7 @@ def test_norm_params_come_from_train_split_only():
     lines = [0, 10, 30, 60, 1000, 2000]  # deltas 10,20,30 then big test-only ones
     misses = misses_from_lines(lines)
     model = ClusterModel(k=1, centroids=np.array([0.0]), n_iters=1, inertia=0.0)
-    stream = partition_stream(misses, model, train_len=4)
-    mean, std = stream.norm_params[0]
+    mean, std = partition_stream(misses, model, train_len=4)[0]
     arr = np.array([10.0, 20.0, 30.0])
     assert mean == pytest.approx(arr.mean())
     assert std == pytest.approx(arr.std())
@@ -175,16 +179,16 @@ def test_norm_params_come_from_train_split_only():
 def test_norm_params_degenerate_std_clamped():
     misses = misses_from_lines([0, 5, 10, 15])
     model = ClusterModel(k=1, centroids=np.array([0.0]), n_iters=1, inertia=0.0)
-    stream = partition_stream(misses, model)
-    assert stream.norm_params[0][1] == 1.0  # constant deltas -> std clamped to 1
+    norms = partition_stream(misses, model, len(misses))
+    assert norms[0][1] == 1.0  # constant deltas -> std clamped to 1
 
 
 def test_empty_cluster_gets_default_norm():
     misses = misses_from_lines([0, 1, 2])
     model = ClusterModel(k=2, centroids=np.array([0.0, 10_000.0]), n_iters=1, inertia=0.0)
-    stream = partition_stream(misses, model)
-    assert stream.norm_params[1].tolist() == [0.0, 1.0]
-    assert stream.assignments.tolist() == [0, 0, 0]
+    norms = partition_stream(misses, model, len(misses))
+    assert norms[1].tolist() == [0.0, 1.0]
+    assert model.assign(misses.line).tolist() == [0, 0, 0]
 
 
 def test_normalize_matches_single_pass_oracle():
@@ -201,9 +205,20 @@ def test_normalize_matches_single_pass_oracle():
         assert abs(normed.std() - 1.0) < 1e-9
 
 
-def test_normalize_zero_std_treated_as_one():
-    out = normalize_deltas([5, 7], (5.0, 0.0))
-    assert out.tolist() == [0.0, 2.0]
+def test_train_deltas_match_boolean_mask():
+    # oracle: the mask over delta targets this prefix slice replaced
+    rng = np.random.default_rng(23)
+    n = 400
+    lines = rng.integers(0, 2**20, size=n, dtype=np.uint64)
+    assignments = rng.integers(0, 3, size=n)  # clusters 0..2 of k=5
+    assignments[77] = 3  # cluster 3 has a single miss, cluster 4 none
+    per_cluster = cluster_deltas(lines, assignments, 5)
+    for train_len in (0, 1, 2, 77, 78, n // 2, n - 1, n, n + 50):
+        for idx, deltas in per_cluster:
+            got = train_deltas(idx, deltas, train_len)
+            want = deltas[idx[1:] < train_len]
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), train_len
+    assert len(train_deltas(*per_cluster[3], n)) == len(train_deltas(*per_cluster[4], n)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +239,40 @@ def test_cluster_model_roundtrip(tmp_path):
     assert np.array_equal(got_norms, norms)
 
 
-def test_cluster_model_roundtrip_without_norms(tmp_path):
+def test_save_cluster_model_requires_norms(tmp_path):
     model = kmeans_fit([1, 1000], k=2, seed=0)
     path = tmp_path / "c.bin"
-    save_cluster_model(model, path)
-    _, norms = load_cluster_model(path)
-    assert norms is None
+    with pytest.raises(TypeError):
+        save_cluster_model(model, path)
+    with pytest.raises(ConfigError):
+        save_cluster_model(model, path, np.ones((3, 2)))
+    save_cluster_model(model, path, np.ones((2, 2)))
+    data = bytearray(path.read_bytes())
+    data[len(KMEANS_MAGIC) + 28] = 0  # the has-norms flag, last byte of the header
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceFormatError, match="has-norms flag is 0"):
+        load_cluster_model(path)
+
+
+def test_load_cluster_model_refuses_bad_values(tmp_path):
+    model = kmeans_fit([1, 2, 3, 1000, 2000, 3000], k=2, seed=1)
+    path = tmp_path / "c.bin"
+    cases = {  # what is wrong -> (centroids, norms)
+        "nan std": ([1.0, 2.0], [[0.0, 1.0], [0.0, math.nan]]),
+        "zero std": ([1.0, 2.0], [[0.0, 0.0], [0.0, 1.0]]),
+        "negative std": ([1.0, 2.0], [[0.0, 1.0], [0.0, -2.0]]),
+        "inf mean": ([1.0, 2.0], [[-math.inf, 1.0], [0.0, 1.0]]),
+        "inf centroid": ([1.0, math.inf], [[0.0, 1.0], [0.0, 1.0]]),
+        "nan centroid": ([math.nan, 2.0], [[0.0, 1.0], [0.0, 1.0]]),
+    }
+    for centroids, norms in cases.values():
+        model.centroids = np.array(centroids)
+        save_cluster_model(model, path, np.array(norms))
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+            load_cluster_model(path)
+    model.centroids = np.array([1.0, 2.0])
+    save_cluster_model(model, path, np.array([[0.0, 1e-300], [-5.0, 3.0]]))
+    assert load_cluster_model(path)[1].tolist() == [[0.0, 1e-300], [-5.0, 3.0]]
 
 
 def test_cluster_model_bad_magic(tmp_path):

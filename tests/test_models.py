@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from prefetchlab.clustering import cluster_deltas
 from prefetchlab.errors import ConfigError, DataError
 from prefetchlab import models
 from prefetchlab.lstm import finite_difference_grads, relative_grad_error
@@ -316,7 +317,8 @@ def test_build_cluster_vocabs_train_only():
     lines = [0, 1, 3, 1000, 1002, 6]
     misses = misses_from_lines(lines)
     assignments = np.array([0, 0, 0, 1, 1, 0])
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=5, min_input_count=1)
+    vocabs = build_cluster_vocabs(cluster_deltas(misses.line, assignments, 2), train_len=5,
+                                  min_input_count=1)
     # cluster 0 train deltas: 1, 2 (the delta 3->6 has its target at index 5)
     assert sorted(vocabs[0].deltas[: vocabs[0].n_input].tolist()) == [1, 2]
     assert sorted(vocabs[1].deltas[: vocabs[1].n_input].tolist()) == [2]
@@ -325,11 +327,11 @@ def test_build_cluster_vocabs_train_only():
 def test_build_cluster_vocabs_empty_cluster():
     misses = misses_from_lines([0, 1, 2])
     assignments = np.array([0, 0, 0])
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=3, min_input_count=1)
+    vocabs = build_cluster_vocabs(cluster_deltas(misses.line, assignments, 1), train_len=3,
+                                  min_input_count=1)
     assert len(vocabs) == 1
     lone = build_cluster_vocabs(
-        misses_from_lines([0, 1_000_000, 1]),
-        np.array([0, 1, 0]),
+        cluster_deltas(misses_from_lines([0, 1_000_000, 1]).line, np.array([0, 1, 0]), 2),
         train_len=3,
         min_input_count=1,
     )
@@ -339,24 +341,24 @@ def test_build_cluster_vocabs_empty_cluster():
 def test_cluster_dataset_construction():
     lines = [100, 5000, 102, 5003, 105]
     misses = misses_from_lines(lines)
-    assignments = np.array([0, 1, 0, 1, 0])
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=5, min_input_count=1)
+    per_cluster = cluster_deltas(misses.line, np.array([0, 1, 0, 1, 0]), 2)
+    vocabs = build_cluster_vocabs(per_cluster, train_len=5, min_input_count=1)
     model = ClusterPrefetcher(
         vocab_sizes=[v.n_output for v in vocabs], hidden=4, layers=1, seed=0
     )
     norms = np.array([[0.0, 1.0], [0.0, 1.0]])
-    ds = cluster_dataset(misses, assignments, vocabs, norms, model)
+    ds = cluster_dataset(per_cluster, vocabs, norms, model)
 
     assert ds["label"].shape == (2, 2)
-    assert ds["length"].tolist() == [2, 1]
+    assert (ds["target_index"] >= 0).sum(axis=1).tolist() == [2, 1]
     # cluster 0: deltas 2 (100->102), 3 (102->105); first input is the start value 0
     assert ds["delta_raw"][0].tolist() == [2, 3]
     assert ds["norm_delta"][0].tolist() == [0.0, 2.0]
     assert ds["target_index"][0].tolist() == [2, 4]
     assert ds["timestep"][0].tolist() == [0, 2]
-    # cluster 1 is shorter; padding carries label -1
+    # cluster 1 is shorter; padding carries label, target index and timestep -1
     assert ds["delta_raw"][1, 0] == 3
-    assert ds["label"][1, 1] == -1
+    assert ds["label"][1, 1] == ds["target_index"][1, 1] == ds["timestep"][1, 1] == -1
     assert ds["cluster_id"].tolist() == [[0, 0], [1, 1]]
 
 
@@ -506,13 +508,13 @@ def test_embedding_prediction_sets_cover_test_region():
 def test_cluster_prediction_sets_respect_test_start_and_vocab():
     lines = [100, 5000, 102, 5003, 105, 5009, 107, 5013, 111, 5020]
     misses = misses_from_lines(lines)
-    assignments = np.array([0, 1] * 5)
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=len(misses), min_input_count=1)
+    per_cluster = cluster_deltas(misses.line, np.array([0, 1] * 5), 2)
+    vocabs = build_cluster_vocabs(per_cluster, train_len=len(misses), min_input_count=1)
     model = ClusterPrefetcher(
         vocab_sizes=[v.n_output for v in vocabs], hidden=4, layers=1, seed=0
     )
     norms = np.array([[0.0, 1.0], [0.0, 1.0]])
-    ds = cluster_dataset(misses, assignments, vocabs, norms, model)
+    ds = cluster_dataset(per_cluster, vocabs, norms, model)
     sets = rows_of(cluster_prediction_sets(model, ds, vocabs, test_start=0, k=10))
     assert len(sets) == 8  # 10 misses, 2 clusters -> 8 within-cluster events
     # all predicted deltas decode into the right cluster's vocabulary
@@ -530,10 +532,9 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
     decode = [None if v is None else dict(enumerate(v.deltas[: v.n_output].tolist()))
               for v in vocabs]
     if isinstance(model, ClusterPrefetcher):
-        ds, length = dataset, dataset["length"]
+        ds = dataset
     else:  # one row holding the whole stream
         ds = {key: a.reshape(1, -1) for key, a in dataset.items()}
-        length = [len(dataset["label"])]
     rows, cols = ds["label"].shape
     states = model.zero_states(rows)
     out = []
@@ -543,7 +544,8 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
         ids, states = model.predict_topk(*inputs, states, k)
         for c in range(rows):
             for t in range(lo, hi):
-                if ds["target_index"][c, t] < test_start or t >= length[c]:
+                # padding cells of a cluster row carry target index -1
+                if ds["target_index"][c, t] < test_start or ds["target_index"][c, t] < 0:
                     continue
                 preds = tuple(decode[c][int(i)] for i in ids[t - lo, c]
                               if i >= 0 and decode[c] is not None)
@@ -558,13 +560,14 @@ def test_prediction_sets_equal_per_event_decoding():
     # cluster 2 gets a single training miss and so no vocabulary
     assignments = np.array([0, 1] * 140 + [2] + [0, 1] * 9 + [2])
     misses = misses_from_lines(lines, pcs=rng.integers(0, 4, 300))
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=281, min_input_count=1)
+    per_cluster = cluster_deltas(misses.line, assignments, 3)
+    vocabs = build_cluster_vocabs(per_cluster, train_len=281, min_input_count=1)
     assert vocabs[2] is None
     model = ClusterPrefetcher(
         vocab_sizes=[v.n_output if v else 0 for v in vocabs], hidden=6, layers=2, seed=4
     )
     norms = np.array([[0.0, 4.0], [0.0, 4.0], [0.0, 1.0]])
-    ds = cluster_dataset(misses, assignments, vocabs, norms, model)
+    ds = cluster_dataset(per_cluster, vocabs, norms, model)
     for test_start, k, window in ((210, 10, 512), (0, 3, 7), (250, 2, 1)):
         got = rows_of(cluster_prediction_sets(model, ds, vocabs, test_start, k, window))
         assert got == per_event_prediction_sets(model, ds, vocabs, test_start, k, window)
@@ -590,10 +593,10 @@ def test_warm_up_windows_skip_the_head(monkeypatch):
     emb = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output,
                               hidden=6, embed=3, layers=2, seed=6)
     emb_ds = embedding_dataset(misses, vocab, pc_vocab)
-    assignments = np.arange(300) % 3
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=210, min_input_count=1)
+    per_cluster = cluster_deltas(misses.line, np.arange(300) % 3, 3)
+    vocabs = build_cluster_vocabs(per_cluster, train_len=210, min_input_count=1)
     clu = ClusterPrefetcher([v.n_output for v in vocabs], hidden=6, layers=2, seed=7)
-    clu_ds = cluster_dataset(misses, assignments, vocabs, np.array([[0.0, 4.0]] * 3), clu)
+    clu_ds = cluster_dataset(per_cluster, vocabs, np.array([[0.0, 4.0]] * 3), clu)
     # the first kept column is 210 for the embedding model at test_start
     # 211 and 69 for the cluster model at 210: on a window boundary for
     # windows of 30 and 23, mid-window for windows of 40 and 30
@@ -630,13 +633,13 @@ def test_prediction_sets_keep_no_backward_caches():
     pc_vocab = build_pc_vocab(misses.pc)
     emb = EmbeddingPrefetcher(vocab.n_input, pc_vocab.n_pcs, vocab.n_output, hidden=H,
                               embed=2, layers=L, seed=0)
-    assignments = np.arange(n) % 3
-    vocabs = build_cluster_vocabs(misses, assignments, train_len=n, min_input_count=1)
+    per_cluster = cluster_deltas(misses.line, np.arange(n) % 3, 3)
+    vocabs = build_cluster_vocabs(per_cluster, train_len=n, min_input_count=1)
     clu = ClusterPrefetcher([v.n_output for v in vocabs], hidden=H, layers=L, seed=1)
     cases = [
         (embedding_prediction_sets, emb, embedding_dataset(misses, vocab, pc_vocab), vocab, 1),
         (cluster_prediction_sets, clu,
-         cluster_dataset(misses, assignments, vocabs, np.array([[0.0, 4.0]] * 3), clu), vocabs, 3),
+         cluster_dataset(per_cluster, vocabs, np.array([[0.0, 4.0]] * 3), clu), vocabs, 3),
     ]
     for sets_fn, model, ds, vs, rows in cases:
         peaks = []
