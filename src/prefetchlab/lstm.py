@@ -91,78 +91,75 @@ def zero_states(n_layers: int, batch: int, hidden: int, dtype=np.float64):
     ]
 
 
-def lstm_forward(X, states, Ws, bs, cache=True):
-    """Run a (T, B, D) window through the stack.
+def lstm_forward(buf, states, Ws, bs, cache=True):
+    """Run a window through the stack in its (T+L, B, D+L*H) buffer `buf`.
 
-    `states` is a list of (h, c) per layer and is not mutated. Returns the
-    top-layer outputs (T, B, H), the final states, and caches for backward.
-    With `cache=False` the caches are None: each diagonal's activations are
-    dropped as soon as the next diagonal has read them, which is all that
-    inference needs, and the results are unchanged. The caches hold the
-    `[x | h]` buffers and each diagonal's gate activations, c_prev and c;
-    `lstm_backward` recomputes tanh(c), bit for bit, rather than keep it.
+    Row d of `buf` is [x_d | h_0(d-1) | ... | h_{L-1}(d-L)]; the caller
+    writes the (T, B, D) inputs into `buf[:T, :, :D]`. `states` is a list
+    of (h, c) per layer and is not mutated. Returns the top-layer outputs
+    (T, B, H), a view of `buf`, the final states (copies), and caches for
+    backward: `buf` and each diagonal's gate activations, c_prev and c
+    (`lstm_backward` recomputes tanh(c), bit for bit). With `cache=False`
+    they are None and each diagonal's activations are dropped once the next
+    has read them, which is all inference needs; results are unchanged.
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
     do not depend on each other: after each layer's own `[x | h] @ W.T`,
     their gate math runs once on (n, B, 4H) stacks. Each element sees the
     operations of a step-by-step walk in the same order, so results are
-    bit-identical to it. All layers share one hidden size H. Layer l's
-    (T+1, B, D+H) buffer holds [x_t | h_{t-1}] in row t; the outputs are a
-    view of the top one, the final states are copies.
+    bit-identical to it. All layers share one hidden size H. On diagonal d
+    layer l's `[x | h]` is one slice of row d (columns [0, D+H) for l = 0,
+    [D+(l-1)H, D+(l+1)H) above), and the diagonal's h stack is stored once,
+    in row d+1, as both the next step's and the next layer's input.
     """
-    T, B, _ = X.shape
-    L = len(Ws)
-    H = Ws[0].shape[0] // 4
+    L, H = len(Ws), Ws[0].shape[0] // 4
     if any(W.shape[0] != 4 * H for W in Ws):
         raise ConfigError("all LSTM layers must share one hidden size")
-    dims = [W.shape[1] - H for W in Ws]
-    xhs = [np.empty((T + 1, B, D + H), dtype=X.dtype) for D in dims]
-    for xh, D, (h, _) in zip(xhs, dims, states):
-        xh[0, :, D:] = h
-    xhs[0][:T, :, : dims[0]] = X
+    T, B, D = len(buf) - L, buf.shape[1], Ws[0].shape[1] - H
+    cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
+    hs = buf[:, :, D:].reshape(T + L, B, L, H)  # hs[r, :, l] is h_l(r-l-1)
+    for l, (h, _) in enumerate(states):
+        hs[l, :, l] = h
     b = np.stack(bs)[:, None, :]
     c0 = np.stack([s[1] for s in states])
     c = c0[:0]  # the previous diagonal's c stack
     diagonals, c_final = [], []
     for d in range(T + L - 1):
         lo, hi = max(0, d - T + 1), min(L, d + 1)
-        z = np.empty((hi - lo, B, 4 * H), dtype=X.dtype)
+        z = np.empty((hi - lo, B, 4 * H), dtype=buf.dtype)
         for l in range(lo, hi):
-            np.matmul(xhs[l][d - l], Ws[l].T, out=z[l - lo])
+            np.matmul(buf[d, :, cols[l]], Ws[l].T, out=z[l - lo])
         # the layer that reached t = T-1 drops out (d >= T); layer d starts (d < L)
         c_prev = c[lo - max(0, d - T) :]
         if d < L:
             c_prev = np.concatenate((c_prev, c0[d : d + 1]))
         a, c, tc, h = _gates(z, b[lo:hi], c_prev)
-        for l in range(lo, hi):
-            xhs[l][d - l + 1, :, dims[l] :] = h[l - lo]
-            if l + 1 < L:
-                xhs[l + 1][d - l, :, :H] = h[l - lo]
+        hs[d + 1, :, lo:hi] = h.swapaxes(0, 1)
         if cache:
             diagonals.append((lo, a, c_prev, c))
         if d >= T - 1:
             c_final.append(c[0].copy())
-    finals = [(xh[T, :, D:].copy(), cl) for xh, D, cl in zip(xhs, dims, c_final)]
-    return xhs[-1][1:, :, dims[-1] :], finals, (xhs, diagonals) if cache else None
+    finals = [(hs[T + l, :, l].copy(), cl) for l, cl in enumerate(c_final)]
+    return hs[L:, :, L - 1], finals, (buf, diagonals) if cache else None
 
 
 def lstm_backward(dH_top, caches, Ws):
     """Backprop a window; gradients into the initial states are dropped.
 
     Walks the forward's diagonals in reverse: cell (t, l) takes its
-    gradients from (t, l+1) and (t+1, l), both on diagonal d+1. Returns
-    (dX, dWs, dbs) matching the forward window.
+    gradients from (t, l+1) and (t+1, l), both on diagonal d+1, and its
+    `[x | h]` from row t+l of the window buffer. Returns (dX, dWs, dbs).
     """
-    xhs, diagonals = caches
+    buf, diagonals = caches
     T, B, H = dH_top.shape
-    L = len(Ws)
-    dims = [W.shape[1] - H for W in Ws]
+    L, D = len(Ws), Ws[0].shape[1] - H
+    cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
     dWs = [np.zeros_like(W) for W in Ws]
     dbs = [np.zeros(4 * H, dtype=dH_top.dtype) for _ in Ws]
     zero = np.zeros((1, B, H), dtype=dH_top.dtype)
     dh_next, d_above = [zero[0]] * L, [None] * L
     dc_next = zero[:0]  # dc * f of the diagonal after this one
-    dX = np.empty((T, B, dims[0]), dtype=dH_top.dtype)
+    dX = np.empty((T, B, D), dtype=dH_top.dtype)
 
     for d in range(T + L - 2, -1, -1):
         lo, a, c_prev, c = diagonals[d]
@@ -188,15 +185,14 @@ def lstm_backward(dH_top, caches, Ws):
         db = dz.sum(axis=1)
         dc_next = dc * f
         for l in range(lo, hi):
-            t, D = d - l, dims[l]
-            dWs[l] += dz[l - lo].T @ xhs[l][t]
+            dWs[l] += dz[l - lo].T @ buf[d, :, cols[l]]
             dbs[l] += db[l - lo]
             dxh = dz[l - lo] @ Ws[l]
-            dh_next[l] = dxh[:, D:]
+            dh_next[l] = dxh[:, -H:]
             if l:
-                d_above[l - 1] = dxh[:, :D]
+                d_above[l - 1] = dxh[:, :-H]
             else:
-                dX[t] = dxh[:, :D]
+                dX[d] = dxh[:, :-H]
     return dX, dWs, dbs
 
 

@@ -63,13 +63,14 @@ def embedding_grad(table, ids, d_rows):
 class _LstmPrefetcher:
     """Stacked LSTM plus softmax head over per-position input vectors.
 
-    Subclasses provide `_inputs(a, b)` (the (T, B, D) input encoding of
-    their two id arrays) and `_mask_loss_logits(logits, b)` (which masks
-    the (T*B, C) logits in place, or leaves them), and put their own input
-    tables into `params` before calling `_init_core`, so RNG draws and
-    parameter order follow that order (a `seed` of None draws nothing and
-    leaves zeros for `load_weights` to fill). Only training keeps the
-    LSTM's backward caches; every other forward runs with `cache=False`.
+    Subclasses provide `_inputs(x, a, b)`, which writes the encoding of
+    their two id arrays into `x`, the (T, B, D) input view of the window
+    buffer that `run_lstm` allocates per call, and `_mask_loss_logits(logits,
+    b)`, which masks the (T*B, C) logits in place or leaves them. They put
+    their own input tables into `params` before calling `_init_core`, so
+    RNG draws and parameter order follow that order (a `seed` of None draws
+    nothing and leaves zeros for `load_weights` to fill). Only training
+    keeps the LSTM's backward caches; other forwards run with `cache=False`.
     """
 
     def _init_core(self, params: dict, rng, input_dim: int, n_classes: int) -> None:
@@ -91,7 +92,11 @@ class _LstmPrefetcher:
         """(top-layer outputs, new states, caches) of the LSTM stack alone."""
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
         bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        return lstm_forward(self._inputs(a, b), states, Ws, bs, cache=cache)
+        T, B = np.shape(b)
+        L, D = self.layers, Ws[0].shape[1] - self.hidden
+        buf = np.empty((T + L, B, D + L * self.hidden), dtype=self.dtype)
+        self._inputs(buf[:T, :, :D], a, b)
+        return lstm_forward(buf, states, Ws, bs, cache=cache)
 
     def _forward(self, a, b, states, cache=False):
         H_top, new_states, caches = self.run_lstm(a, b, states, cache)
@@ -175,13 +180,11 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
     def oov_output(self) -> int:
         return self.n_outputs
 
-    def _inputs(self, pc_ids, delta_ids):
-        parts = []
+    def _inputs(self, x, pc_ids, delta_ids):
         if self.e_pc:
-            parts.append(self.params["emb_pc"][pc_ids])
+            np.take(self.params["emb_pc"], pc_ids, axis=0, out=x[..., : self.e_pc])
         if self.e_delta:
-            parts.append(self.params["emb_delta"][delta_ids])
-        return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+            np.take(self.params["emb_delta"], delta_ids, axis=0, out=x[..., self.e_pc :])
 
     def _mask_loss_logits(self, logits, delta_ids):
         pass
@@ -246,9 +249,9 @@ class ClusterPrefetcher(_LstmPrefetcher):
         """Map per-cluster vocab output ids into the shared head."""
         return np.where(output_ids < self.vocab_sizes[cluster], output_ids, self.oov_label)
 
-    def _inputs(self, norm_delta, cluster_ids):
-        onehot = np.eye(self.k, dtype=self.dtype)[cluster_ids]
-        return np.concatenate([norm_delta[..., None].astype(self.dtype), onehot], axis=-1)
+    def _inputs(self, x, norm_delta, cluster_ids):
+        x[..., 0] = norm_delta
+        x[..., 1:] = np.eye(self.k, dtype=self.dtype)[cluster_ids]
 
     @staticmethod
     def _add_mask(logits, mask, cluster_ids):

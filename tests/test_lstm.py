@@ -199,14 +199,24 @@ def make_stack(rng, layers, dims, hidden):
     return Ws, bs
 
 
+def window_forward(X, states, Ws, bs, cache=True):
+    """`lstm_forward` on a window buffer holding the (T, B, D) inputs X, as
+    `models._LstmPrefetcher.run_lstm` builds it."""
+    T, B, D = X.shape
+    L, H = len(Ws), Ws[0].shape[0] // 4
+    buf = np.empty((T + L, B, D + L * H), dtype=X.dtype)
+    buf[:T, :, :D] = X
+    return lstm_forward(buf, states, Ws, bs, cache=cache)
+
+
 def test_forward_state_carry_equals_one_shot():
     # running two half windows with carried state == one full window
     rng = np.random.default_rng(2)
     Ws, bs = make_stack(rng, 2, 3, 5)
     X = rng.normal(size=(8, 2, 3))
-    full, final_full, _ = lstm_forward(X, zero_states(2, 2, 5), Ws, bs)
-    first, mid_states, _ = lstm_forward(X[:4], zero_states(2, 2, 5), Ws, bs)
-    second, final_split, _ = lstm_forward(X[4:], mid_states, Ws, bs)
+    full, final_full, _ = window_forward(X, zero_states(2, 2, 5), Ws, bs)
+    first, mid_states, _ = window_forward(X[:4], zero_states(2, 2, 5), Ws, bs)
+    second, final_split, _ = window_forward(X[4:], mid_states, Ws, bs)
     assert np.allclose(np.concatenate([first, second]), full, atol=1e-14)
     for (h1, c1), (h2, c2) in zip(final_full, final_split):
         assert np.allclose(h1, h2, atol=1e-14)
@@ -254,7 +264,7 @@ def test_forward_bit_equal_to_concatenating_forward(dtype, B, D, H, T):
     states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
                (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
     saved = [(h.copy(), c.copy()) for h, c in states]
-    out, finals, caches = lstm_forward(X, states, Ws, bs)
+    out, finals, caches = window_forward(X, states, Ws, bs)
     out_ref, finals_ref, caches_ref = concatenating_lstm_forward(X, states, Ws, bs)
     assert_bit_equal(out, out_ref)
     for got, ref in zip(finals + saved, finals_ref + states):  # inputs not mutated
@@ -373,7 +383,7 @@ def test_diagonal_schedule_bit_equal_to_step_by_step(dtype, L, B, T):
     X = (rng.normal(size=(T, B, D)) * 2).astype(dtype)
     states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
                (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
-    out, finals, caches = lstm_forward(X, states, Ws, bs)
+    out, finals, caches = window_forward(X, states, Ws, bs)
     out_ref, finals_ref, caches_ref = step_lstm_forward(X, states, Ws, bs)
     assert_bit_equal(out, out_ref)
     for got, ref in zip(finals, finals_ref):
@@ -398,8 +408,8 @@ def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
     X = (rng.normal(size=(T, B, D)) * 2).astype(dtype)
     states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
                (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
-    out, finals, caches = lstm_forward(X, states, Ws, bs, cache=False)
-    out_ref, finals_ref, caches_ref = lstm_forward(X, states, Ws, bs)
+    out, finals, caches = window_forward(X, states, Ws, bs, cache=False)
+    out_ref, finals_ref, caches_ref = window_forward(X, states, Ws, bs)
     assert caches is None and len(caches_ref[1]) == T + L - 1
     assert_bit_equal(out, out_ref)
     for got, ref in zip(finals, finals_ref):
@@ -408,9 +418,10 @@ def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
 
 
 def test_training_cache_keeps_c_not_tanh_c():
-    """The backward caches hold the [x | h] buffers, each diagonal's gate
-    activations and cell stacks, and nothing else: tanh(c) is recomputed
-    in backward, where a cached copy would cost another T*L*B*H floats."""
+    """The backward caches hold the window buffer, each diagonal's gate
+    activations and cell stacks, and nothing else: each h is stored once,
+    in the buffer, and tanh(c) is recomputed in backward, where a cached
+    copy would cost another T*L*B*H floats."""
     T = B = 64
     D, H, L = 256, 128, 2
     dtype = np.float32
@@ -418,20 +429,20 @@ def test_training_cache_keeps_c_not_tanh_c():
     Ws = [lstm_layer_init(D if l == 0 else H, H, rng, dtype)[0] for l in range(L)]
     bs = [np.zeros(4 * H, dtype=dtype) for _ in Ws]
     X = rng.normal(size=(T, B, D)).astype(dtype)
-    _, _, caches = lstm_forward(X, zero_states(L, B, H, dtype), Ws, bs)
+    _, _, caches = window_forward(X, zero_states(L, B, H, dtype), Ws, bs)
     buffers = {}
-    xhs, diagonals = caches
-    for arr in [*xhs, *(a for _, *arrays in diagonals for a in arrays)]:
+    buf, diagonals = caches
+    for arr in [buf, *(a for _, *arrays in diagonals for a in arrays)]:
         while arr.base is not None:
             arr = arr.base
         buffers[id(arr)] = arr
     item = np.dtype(dtype).itemsize
-    xh_bytes = (T + 1) * B * (D + H + H + H) * item
+    buf_bytes = (T + L) * B * (D + L * H) * item
     a_bytes = T * L * B * 4 * H * item
     c_bytes = T * L * B * H * item
     # diagonal d < L prepends layer d's initial c to the previous c stack
     c_prev_bytes = sum(range(1, L + 1)) * B * H * item
-    assert sum(a.nbytes for a in buffers.values()) == xh_bytes + a_bytes + c_bytes + c_prev_bytes
+    assert sum(a.nbytes for a in buffers.values()) == buf_bytes + a_bytes + c_bytes + c_prev_bytes
 
 
 def test_forward_rejects_mixed_hidden_sizes():
@@ -439,7 +450,7 @@ def test_forward_rejects_mixed_hidden_sizes():
     (W0, b0), (W1, b1) = lstm_layer_init(3, 4, rng), lstm_layer_init(4, 6, rng)
     states = [(np.zeros((2, 4)), np.zeros((2, 4))), (np.zeros((2, 6)), np.zeros((2, 6)))]
     with pytest.raises(ConfigError):
-        lstm_forward(np.zeros((5, 2, 3)), states, [W0, W1], [b0, b1])
+        window_forward(np.zeros((5, 2, 3)), states, [W0, W1], [b0, b1])
 
 
 def test_backward_matches_finite_differences():
@@ -458,10 +469,10 @@ def test_backward_matches_finite_differences():
         params["X"] = X
 
         def loss_fn():
-            out, _, _ = lstm_forward(X, zero_states(layers, B, H), Ws, bs)
+            out, _, _ = window_forward(X, zero_states(layers, B, H), Ws, bs)
             return 0.5 * float(np.sum((out - target) ** 2))
 
-        out, _, caches = lstm_forward(X, zero_states(layers, B, H), Ws, bs)
+        out, _, caches = window_forward(X, zero_states(layers, B, H), Ws, bs)
         dX, dWs, dbs = lstm_backward(out - target, caches, Ws)
         analytic = {"X": dX}
         for l in range(layers):

@@ -236,6 +236,111 @@ def test_modality_widths_are_preserved():
         assert m.params["lstm0_W"].shape == (4 * 8, 8 + 8)
 
 
+# ---------------------------------------------------------------------------
+# Window inputs
+# ---------------------------------------------------------------------------
+
+
+def window_view(model, T, B):
+    """The (T, B, D) input view of a NaN-filled window buffer, and the buffer."""
+    D = model.params["lstm0_W"].shape[1] - model.hidden
+    L, H = model.layers, model.hidden
+    buf = np.full((T + L, B, D + L * H), np.nan, dtype=model.dtype)
+    return buf[:T, :, :D], buf
+
+
+@pytest.mark.parametrize("modality", ["both", "delta_only", "pc_only"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_inputs_in_place_equal_gather_and_concatenate(modality, dtype):
+    rng = np.random.default_rng(11)
+    model = tiny_embedding_model(seed=2, modality=modality, dtype=dtype)
+    T, B = 7, 3
+    pc = rng.integers(0, 4, size=(T, B))
+    din = rng.integers(0, 7, size=(T, B))
+    pc[1], din[2] = pc[0], din[0]  # repeated ids
+    x, buf = window_view(model, T, B)
+    model._inputs(x, pc, din)
+    # the construction the in-place lookup replaced
+    parts = []
+    if model.e_pc:
+        parts.append(model.params["emb_pc"][pc])
+    if model.e_delta:
+        parts.append(model.params["emb_delta"][din])
+    want = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+    assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+    rest = np.ones(buf.shape, dtype=bool)
+    rest[:T, :, : x.shape[-1]] = False
+    assert np.isnan(buf[rest]).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cluster_inputs_in_place_equal_concatenation(k, dtype):
+    rng = np.random.default_rng(k)
+    model = ClusterPrefetcher([3] * k, hidden=8, layers=2, dtype=dtype, seed=0)
+    T, B = 6, k
+    norm_delta = rng.normal(size=(T, B)) / 3  # float64, as cluster_dataset builds it
+    cluster_ids = rng.integers(0, k, size=(T, B))
+    x, buf = window_view(model, T, B)
+    model._inputs(x, norm_delta, cluster_ids)
+    want = np.concatenate([norm_delta[..., None].astype(model.dtype),
+                           np.eye(k, dtype=model.dtype)[cluster_ids]], axis=-1)
+    assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+    assert np.isnan(buf[T:]).all() and np.isnan(buf[:, :, 1 + k :]).all()
+
+
+@pytest.mark.parametrize("table", ["pc", "delta"])
+def test_embedding_id_past_its_table_raises(table):
+    model = tiny_embedding_model()
+    pc = np.zeros((3, 2), dtype=np.int64)
+    din = np.zeros((3, 2), dtype=np.int64)
+    if table == "pc":
+        pc[2, 1] = model.n_pcs + 1
+    else:
+        din[2, 1] = model.n_delta_inputs + 1
+    with pytest.raises(IndexError):
+        model.run_lstm(pc, din, model.zero_states(2))
+
+
+def test_embedding_step_gathers_inputs_into_the_window_buffer(monkeypatch):
+    """Up to the end of the LSTM forward, a training step holds the
+    backward caches (the window buffer and the per-diagonal gate and cell
+    stacks) and less than one (T, B, D) array besides: the embeddings are
+    gathered into the buffer, not into a separate input array."""
+    T, B, E = 16, 4, 64
+    model = EmbeddingPrefetcher(6, 3, 5, hidden=4, embed=E, layers=2, seed=0)
+    rng = np.random.default_rng(5)
+    pc, din = rng.integers(0, 4, size=(T, B)), rng.integers(0, 7, size=(T, B))
+    labels = rng.integers(0, 6, size=(T, B))
+    states = model.zero_states(B)
+    forward, seen = models.lstm_forward, []
+
+    def lstm_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        seen.append((tracemalloc.get_traced_memory()[1], out[2]))
+        return out
+
+    monkeypatch.setattr(models, "lstm_forward", lstm_forward)
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(pc, din, labels, states)
+    finally:
+        tracemalloc.stop()
+    (peak, caches), = seen
+    bases = {}
+    stack = [caches]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            bases[id(item)] = item.nbytes
+    input_bytes = T * B * 2 * E * np.dtype(model.dtype).itemsize
+    assert peak - sum(bases.values()) < input_bytes
+
+
 def test_unknown_modality_rejected():
     with pytest.raises(ConfigError):
         tiny_embedding_model(modality="neither")
