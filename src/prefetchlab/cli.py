@@ -42,14 +42,6 @@ MODEL_FILE = "model.bin"
 METRICS_FILE = "metrics.json"
 REPORT_FILE = "report.json"
 
-_SPEC_KINDS = {
-    "stride": trace.StrideSpec,
-    "multi_stride": trace.MultiStrideSpec,
-    "pc_correlated": trace.PcCorrelatedSpec,
-    "region_hopping": trace.RegionHoppingSpec,
-    "linked_list": trace.LinkedListSpec,
-}
-
 
 def _int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -109,8 +101,11 @@ def load_config(path, seed: int | None = None) -> dict:
     """Config file merged over the defaults of CONFIG_KEYS.
 
     Keys inside a CONFIG_KEYS section must be known, and every key of
-    CONFIG_KEYS must pass its check; unknown top-level keys pass through.
-    Raises ConfigError naming the file (and key) otherwise.
+    CONFIG_KEYS must pass its check; the trace: and cache: sections must
+    build their specs. Other top-level keys pass through into the report
+    and the config hash, so each must be a string and its value plain JSON
+    (no dates, binary, NaN or inf). Raises ConfigError naming the file and
+    the key otherwise; the merged config holds only JSON values.
     """
     with open(path) as f:
         try:
@@ -137,15 +132,23 @@ def load_config(path, seed: int | None = None) -> dict:
             value = into[key] = given.get(key, default)
             if not ok(value):
                 raise ConfigError(f"{path}: {prefix}{key} must be {want}, got {value!r}")
-    for key in cfg:
-        if key not in merged:
-            merged[key] = cfg[key]
     try:
-        hierarchy_from_config(merged)
-        if merged.get("trace") is not None:
-            trace_spec_from_config(merged)
+        hierarchy_from_config(cfg)
+        if cfg.get("trace") is not None:
+            trace_spec_from_config(cfg)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
+    for key, value in cfg.items():
+        if key in merged:
+            continue
+        if not isinstance(key, str):
+            raise ConfigError(f"{path}: top-level key {key!r} must be a string")
+        try:
+            evaluation.canonical_json(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: {key} must be plain JSON (no dates, binary, NaN "
+                              f"or inf), got {value!r}") from None
+        merged[key] = value
     return merged
 
 
@@ -192,10 +195,10 @@ def trace_spec_from_config(cfg: dict):
         raise ConfigError(f"trace must be a mapping, got {section!r}")
     section = dict(section)
     kind = section.pop("kind", None)
-    if kind not in _SPEC_KINDS:
-        raise ConfigError(f"trace.kind must be one of {sorted(_SPEC_KINDS)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in trace.SPEC_KINDS:
+        raise ConfigError(f"trace.kind must be one of {sorted(trace.SPEC_KINDS)}, got {kind!r}")
     section.setdefault("seed", cfg.get("seed", 0))
-    spec = _checked(_SPEC_KINDS[kind], section, "trace", f" for kind {kind!r}")
+    spec = _checked(trace.SPEC_KINDS[kind][0], section, "trace", f" for kind {kind!r}")
     key = "pc" if hasattr(spec, "pc") else "pcs"
     pcs = (spec.pc,) if key == "pc" else spec.pcs or ()
     if not all(0 <= pc < 1 << 64 for pc in pcs):
@@ -370,7 +373,7 @@ def run_train(cfg: dict, out_dir: str) -> dict:
         batches["label"] = np.where(in_train, batches["label"], -1)
 
     history = models.train_model(model, batches, tcfg)
-    meta = {"config_hash": evaluation.config_hash(evaluation.sanitize(cfg)), "n_train": n_train}
+    meta = {"config_hash": evaluation.config_hash(cfg), "n_train": n_train}
     models.save_model(model, os.path.join(out_dir, MODEL_FILE), meta)
     final = history[-1]["loss"] if history else None
     return {"steps": len(history), "final_loss": final}
@@ -411,8 +414,8 @@ def run_report(cfg: dict, out_dir: str) -> dict:
     sim_stats = evaluation.read_report(_require(out_dir, SIM_STATS_FILE))
     precisions = [m["precision_at_k"] for m in metrics["metrics"].values()]
     payload = {
-        "config": evaluation.sanitize(cfg),
-        "config_hash": evaluation.config_hash(evaluation.sanitize(cfg)),
+        "config": cfg,
+        "config_hash": evaluation.config_hash(cfg),
         "coverage": coverage.__dict__,
         "simulation": sim_stats,
         "evaluation": metrics,

@@ -12,7 +12,6 @@ occurred.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,7 +98,9 @@ def split_index(n: int, fraction: float = 0.7) -> int:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact, key-sorted JSON; TypeError for a non-JSON value (a date,
+    bytes), ValueError for NaN or inf."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(obj) -> str:
@@ -108,28 +109,11 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def sanitize(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(key): sanitize(v) for key, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def write_report(path, payload: dict) -> None:
-    """Deterministic report file: sorted keys, fixed formatting, one \\n."""
-    text = json.dumps(sanitize(payload), sort_keys=True, indent=2)
+    """Deterministic report file: sorted keys, fixed formatting, one \\n.
+    `payload` is dumped as it is: plain JSON values only, NaN or inf raise
+    ValueError."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="\n") as f:
         f.write(text)
         f.write("\n")

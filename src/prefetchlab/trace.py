@@ -209,27 +209,17 @@ class LinkedListSpec:
     seed: int = 0
 
 
-SyntheticSpec = (
-    StrideSpec | MultiStrideSpec | PcCorrelatedSpec | RegionHoppingSpec | LinkedListSpec
-)
-
-
-def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:
-    """Generate an (n, 2) uint64 (pc, addr) trace from `spec`; bit-identical
-    for identical specs. Addresses wrap modulo 2^64."""
+def generate_synthetic(spec) -> np.ndarray:
+    """Generate an (n, 2) uint64 (pc, addr) trace from `spec`, an instance
+    of one of the SPEC_KINDS spec classes; bit-identical for identical
+    specs. Addresses wrap modulo 2^64. Raises ConfigError for anything
+    else or a negative length."""
+    gen = next((gen for cls, gen in SPEC_KINDS.values() if isinstance(spec, cls)), None)
+    if gen is None:
+        raise ConfigError(f"unknown synthetic spec type: {type(spec).__name__}")
     if spec.length < 0:
         raise ConfigError("length must be non-negative")
-    if isinstance(spec, StrideSpec):
-        return _gen_stride(spec)
-    if isinstance(spec, MultiStrideSpec):
-        return _gen_multi_stride(spec)
-    if isinstance(spec, PcCorrelatedSpec):
-        return _gen_pc_correlated(spec)
-    if isinstance(spec, RegionHoppingSpec):
-        return _gen_region_hopping(spec)
-    if isinstance(spec, LinkedListSpec):
-        return _gen_linked_list(spec)
-    raise ConfigError(f"unknown synthetic spec type: {type(spec).__name__}")
+    return gen(spec)
 
 
 def _u64(values) -> np.ndarray:
@@ -357,3 +347,13 @@ def _gen_linked_list(spec: LinkedListSpec) -> np.ndarray:
     nodes = np.resize(np.array(order, dtype=np.uint64), spec.length)
     addr = nodes * _u64([spec.node_size]) + _u64([spec.base])
     return _pairs([spec.pc], np.zeros(spec.length, dtype=np.intp), addr)
+
+
+# config `trace.kind` -> (spec class, generator)
+SPEC_KINDS = {
+    "stride": (StrideSpec, _gen_stride),
+    "multi_stride": (MultiStrideSpec, _gen_multi_stride),
+    "pc_correlated": (PcCorrelatedSpec, _gen_pc_correlated),
+    "region_hopping": (RegionHoppingSpec, _gen_region_hopping),
+    "linked_list": (LinkedListSpec, _gen_linked_list),
+}

@@ -120,6 +120,11 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          ("trace.pc", "18446744073709551616")),
         ("trace: {kind: region_hopping, length: 200, pcs: [-4, 8, 12]}\n",
          ("trace.pcs", "[-4, 8, 12]")),
+        ("trace: {kind: [stride], length: 400}\n", ("trace.kind", "['stride']")),
+        ("note: 2020-01-01\n", ("note must be", "datetime.date(2020, 1, 1)")),
+        ("note: !!binary aGVsbG8=\n", ("note must be", "b'hello'")),
+        ("note: .nan\n", ("note must be", "nan")),
+        ("1: x\n", ("key 1 must be a string",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
@@ -132,7 +137,8 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          "trace_length_float", "trace_strides_item_string", "trace_unknown_key",
          "trace_not_a_mapping", "cache_associativity_float", "cache_emit_level_bool",
          "cache_emit_level_float", "trace_pc_negative", "trace_pc_too_large",
-         "trace_pcs_negative"],
+         "trace_pcs_negative", "trace_kind_list", "top_level_date", "top_level_bytes",
+         "top_level_nan", "top_level_int_key"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"
@@ -142,6 +148,7 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     for name in (str(path),) + names:
         assert name in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 def fake_libc(*results):

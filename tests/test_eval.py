@@ -13,7 +13,6 @@ from prefetchlab.eval import (
     precision_at_k,
     read_report,
     recall_at_k,
-    sanitize,
     split_index,
     write_report,
 )
@@ -169,17 +168,6 @@ def test_split_index_rejects_tiny_and_bad_fraction():
         split_index(100, 1.0)
 
 
-def test_sanitize_numpy_scalars():
-    out = sanitize({"a": np.int64(3), "b": np.float32(0.5), "c": [np.bool_(True)]})
-    assert out == {"a": 3, "b": 0.5, "c": [True]}
-    assert all(isinstance(v, (int, float, bool)) for v in [out["a"], out["b"], out["c"][0]])
-
-
-def test_sanitize_non_finite():
-    out = sanitize({"x": float("nan"), "y": float("inf")})
-    assert out == {"x": "nan", "y": "inf"}
-
-
 def test_canonical_json_sorted_and_stable():
     a = canonical_json({"b": 1, "a": [2, {"d": 3, "c": 4}]})
     b = canonical_json({"a": [2, {"c": 4, "d": 3}], "b": 1})
@@ -196,7 +184,7 @@ def test_config_hash_stability():
 
 
 def test_write_report_bytes_deterministic(tmp_path):
-    payload = {"beta": np.float64(1.5), "alpha": {"n": np.int32(7)}}
+    payload = {"beta": 1.5, "alpha": {"n": 7}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     write_report(p1, payload)
     write_report(p2, {"alpha": {"n": 7}, "beta": 1.5})
@@ -210,3 +198,11 @@ def test_write_report_is_valid_json(tmp_path):
     write_report(path, {"vals": [1, 2, 3], "score": 0.25})
     with open(path) as fh:
         assert json.load(fh) == {"vals": [1, 2, 3], "score": 0.25}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_report_and_hash_refuse_non_finite(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_report(tmp_path / "r.json", {"x": value})
+    with pytest.raises(ValueError):
+        config_hash({"x": value})
