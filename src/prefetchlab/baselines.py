@@ -6,7 +6,7 @@ miss, which makes them directly comparable to the sequence models: the
 deltas returned at miss t are scored against the true delta t -> t+1;
 `baseline_prediction_sets` writes the sets into the preallocated rows of
 one `Predictions` record. All deltas are in line units and, like the
-labels (`trace.signed_delta`), 64-bit two's-complement. A difference of
+labels (`vocab.compute_deltas`), 64-bit two's-complement. A difference of
 two uint64 lines lies in (-2**64, 2**64), so one compare-and-adjust
 (`_wrap`) brings it into [-2**63, 2**63); the prefetchers skip it where
 no difference can leave that range, so the common case costs a

@@ -17,9 +17,8 @@ and seed; reports are byte-identical across repeat runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import ctypes
 import dataclasses
+import importlib.util
 import math
 import os
 import sys
@@ -29,7 +28,7 @@ import typing
 import numpy as np
 import yaml
 
-from . import baselines, clustering, eval as evaluation, models, trace, vocab as vocab_mod
+from . import eval as evaluation, trace, vocab as vocab_mod
 from .cachesim import CacheLevelConfig, HierarchyConfig, default_broadwell_config, simulate
 from .errors import ConfigError, DataError
 
@@ -103,7 +102,8 @@ def load_config(path, seed: int | None = None) -> dict:
     Keys inside a CONFIG_KEYS section must be known, and every key of
     CONFIG_KEYS must pass its check; the trace: and cache: sections must
     build their specs. Other top-level keys pass through into the report
-    and the config hash, so each must be a string and its value plain JSON
+    and the config hash, so every key in them, at any depth, must be a
+    string (JSON would make 1 and '1' one key) and every value plain JSON
     (no dates, binary, NaN or inf). Raises ConfigError naming the file and
     the key otherwise; the merged config holds only JSON values.
     """
@@ -138,11 +138,11 @@ def load_config(path, seed: int | None = None) -> dict:
             trace_spec_from_config(cfg)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
-    for key, value in cfg.items():
-        if key in merged:
-            continue
+    passed = {key: value for key, value in cfg.items() if key not in merged}
+    for where, key in _keys(passed):
         if not isinstance(key, str):
-            raise ConfigError(f"{path}: top-level key {key!r} must be a string")
+            raise ConfigError(f"{path}: key {where} must be a string")
+    for key, value in passed.items():
         try:
             evaluation.canonical_json(value)
         except (TypeError, ValueError):
@@ -150,6 +150,19 @@ def load_config(path, seed: int | None = None) -> dict:
                               f"or inf), got {value!r}") from None
         merged[key] = value
     return merged
+
+
+def _keys(value, path: str | None = None):
+    """(path, key) of every mapping key in `value`, at any depth and inside
+    lists; `path` names `value`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            where = str(key) if path is None else f"{path}.{key}"
+            yield where, key
+            yield from _keys(item, where)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _keys(item, f"{path}[{i}]")
 
 
 def _as_tuple(value):
@@ -273,6 +286,7 @@ def run_vocab(cfg: dict, out_dir: str) -> dict:
 
 
 def run_cluster(cfg: dict, out_dir: str) -> dict:
+    from . import clustering
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
     model = clustering.kmeans_fit(
@@ -293,6 +307,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int, seed: int | None):
     and the vocab/cluster artifacts: train fits this model, seeded, and
     eval and export, seed None, load the trained weights into it.
     """
+    from . import clustering, models
     mcfg = cfg["model"]
     dtype = np.dtype(mcfg["dtype"])
     if mcfg["type"] == "embedding":
@@ -318,6 +333,7 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int, seed: int | None):
 
 def _trained(cfg: dict, out_dir: str):
     """prepare() with model.bin's weights loaded into the model."""
+    from . import models
     path = _require(out_dir, MODEL_FILE)
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
@@ -345,6 +361,7 @@ def keep_heap(libc=None) -> bool:
     be mapped and faulted in afresh. Acts on this process only; without
     `mallopt` (musl, macOS) nothing is set. Returns whether both were set.
     """
+    import ctypes
     mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
     if mallopt is None:
         return False
@@ -355,6 +372,7 @@ def keep_heap(libc=None) -> bool:
 
 
 def run_train(cfg: dict, out_dir: str) -> dict:
+    from . import models
     keep_heap()
     misses = _load_misses(cfg, out_dir)
     n_train = _n_train(misses, cfg)
@@ -383,6 +401,7 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
     """Scores the model, then each baseline. Each method's prediction sets
     are freed once scored, and the model and its dataset before the
     baselines run, so eval holds one method's sets at a time."""
+    from . import baselines, models
     keep_heap()
     misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
     k = cfg["eval"]["k"]
@@ -426,6 +445,7 @@ def run_report(cfg: dict, out_dir: str) -> dict:
 
 
 def run_export_embeddings(cfg: dict, out_dir: str) -> dict:
+    import csv
     _, _, model, _, v = _trained(cfg, out_dir)
     if "emb_delta" not in model.params:
         raise DataError("the configured model has no delta embedding table to export")
@@ -438,6 +458,26 @@ def run_export_embeddings(cfg: dict, out_dir: str) -> dict:
             w.writerow([idx, delta] + [repr(float(x)) for x in table[idx]])
         w.writerow([v.oov_input, ""] + [repr(float(x)) for x in table[v.oov_input]])
     return {"rows": v.n_input + 1, "path": path}
+
+
+# hashlib's builtin digest modules; Python 3.12 merged _sha256 and _sha512
+BUILTIN_DIGESTS = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
+def _block_openssl() -> tuple[str, ...]:
+    """Keep OpenSSL's `_hashlib` out of this process, ~3.7 MB of RSS: hashlib
+    then takes sha256 (same digest) from CPython's builtin digest modules,
+    and hmac, secrets and so numpy.random import without it. Not done
+    where `_hashlib` is already imported, or where a builtin module is
+    missing (hashlib would log an error per hash). Returns the entries to
+    drop from sys.modules after the stage: the block, and hashlib and hmac
+    if they are imported under it (they would lack OpenSSL's hashes)."""
+    if "_hashlib" in sys.modules or not all(map(importlib.util.find_spec, BUILTIN_DIGESTS)):
+        return ()
+    sys.modules["_hashlib"] = None
+    return ("_hashlib", *(name for name in ("hashlib", "hmac") if name not in sys.modules))
 
 
 _STAGES = {
@@ -466,6 +506,7 @@ def main(argv=None) -> int:
         sub.add_parser(name, parents=[common], help=f"run the {name} stage")
 
     args = parser.parse_args(argv)
+    blocked = _block_openssl()
     try:
         cfg = load_config(args.config, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
@@ -473,6 +514,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:  # callers of main() in the same process keep OpenSSL
+        for name in blocked:
+            sys.modules.pop(name, None)
     for key, value in (result or {}).items():
         print(f"{key}: {value}")
     return 0

@@ -120,7 +120,7 @@ def cluster_deltas(
 
     Delta j runs from miss idx[j] to miss idx[j + 1], the next miss of the
     same cluster: the 64-bit two's-complement difference of their uint64
-    `lines`, as `trace.signed_delta` computes it.
+    `lines`, as `vocab.compute_deltas` defines a delta.
     """
     out = []
     for c in range(k):

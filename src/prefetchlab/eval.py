@@ -104,7 +104,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
-    import hashlib  # loads OpenSSL: imported only by the stages that hash
+    import hashlib  # imported only by the stages that hash
 
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 

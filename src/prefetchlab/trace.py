@@ -49,12 +49,6 @@ class MissStream:
         return cls(pc, addr, addr >> np.uint64(_line_shift(line_size)))
 
 
-def signed_delta(line_a: int, line_b: int) -> int:
-    """64-bit two's-complement difference ``line_b - line_a``."""
-    d = (line_b - line_a) & _MASK64
-    return d - (1 << 64) if d >= (1 << 63) else d
-
-
 # ---------------------------------------------------------------------------
 # Reading / writing
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .trace import MissStream
 
 def compute_deltas(lines: np.ndarray) -> np.ndarray:
     """int64 line deltas of a uint64 line array: element t runs from miss t
-    to miss t + 1, as `trace.signed_delta` computes it."""
+    to miss t + 1, the 64-bit two's-complement difference of their lines."""
     if len(lines) < 2:
         raise DataError("need at least 2 misses to form a delta stream")
     return np.diff(lines).view(np.int64)

@@ -13,12 +13,9 @@ import pytest
 
 from prefetchlab import baselines, cachesim, clustering, models, trace, vocab as vocab_mod
 from prefetchlab.eval import precision_at_k, recall_at_k, split_index
-from prefetchlab.lstm import (
-    finite_difference_grads,
-    lstm_cell_forward,
-    lstm_layer_init,
-    relative_grad_error,
-)
+from prefetchlab.lstm import lstm_cell_forward, lstm_layer_init
+
+from oracles import finite_difference_grads, relative_grad_error
 
 BROADWELL = cachesim.default_broadwell_config()
 

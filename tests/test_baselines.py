@@ -7,7 +7,9 @@ import pytest
 from prefetchlab.baselines import GhbPcDc, StreamPrefetcher, baseline_prediction_sets
 from prefetchlab.errors import ConfigError
 from prefetchlab.eval import precision_at_k
-from prefetchlab.trace import MissStream, signed_delta
+from prefetchlab.trace import MissStream
+
+from oracles import signed_delta
 
 Row = namedtuple("Row", "timestep predicted true_delta")
 

@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import types
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from prefetchlab import cli
+from prefetchlab import baselines, cli, clustering, models
 from prefetchlab.cli import load_config, main
 
 STRIDE_CFG = {
@@ -125,6 +126,9 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("note: !!binary aGVsbG8=\n", ("note must be", "b'hello'")),
         ("note: .nan\n", ("note must be", "nan")),
         ("1: x\n", ("key 1 must be a string",)),
+        ("note: {1: x}\n", ("key note.1 must be a string",)),
+        ("note: {a: {true: x}}\n", ("key note.a.True must be a string",)),
+        ("note: [a, {b: 1, 2: x}]\n", ("key note[1].2 must be a string",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
@@ -138,7 +142,8 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          "trace_not_a_mapping", "cache_associativity_float", "cache_emit_level_bool",
          "cache_emit_level_float", "trace_pc_negative", "trace_pc_too_large",
          "trace_pcs_negative", "trace_kind_list", "top_level_date", "top_level_bytes",
-         "top_level_nan", "top_level_int_key"],
+         "top_level_nan", "top_level_int_key", "nested_int_key", "nested_bool_key",
+         "key_in_list"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"
@@ -250,57 +255,141 @@ def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages
         made.append(("model", weakref.ref(model)))
         return watched(real_model_sets, model, *args)
 
-    real_model_sets = getattr(cli.models, sets_fn)
-    real_baseline_sets = cli.baselines.baseline_prediction_sets
-    monkeypatch.setattr(cli.models, sets_fn, model_sets)
-    monkeypatch.setattr(cli.baselines, "baseline_prediction_sets",
+    real_model_sets = getattr(models, sets_fn)
+    real_baseline_sets = baselines.baseline_prediction_sets
+    monkeypatch.setattr(models, sets_fn, model_sets)
+    monkeypatch.setattr(baselines, "baseline_prediction_sets",
                         functools.partial(watched, real_baseline_sets))
     assert run("eval", cfg_path, out) == 0
     # the model, and each method's sets once scored, are gone before the next method runs
     assert alive_at_call == [["model"], [], []]
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    return env
+
+
+def run_fresh(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
+
+
 # Runs one stage in a fresh interpreter and reports its exit code and which
-# of the modules that load OpenSSL (_hashlib, also reached through
-# numpy.random's import of secrets) or numpy.ma it left in sys.modules.
+# of these modules it left loaded: OpenSSL's _hashlib (as a module: the
+# stage's block of it is a None entry), numpy.ma, numpy.random and the
+# model code.
 STAGE_PROBE = """
 import json, sys
 from prefetchlab.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in ("_hashlib", "numpy.ma", "numpy.random") if m in sys.modules)
-print(json.dumps([code, loaded]))
+names = ("_hashlib", "numpy.ma", "numpy.random", "prefetchlab.baselines",
+         "prefetchlab.clustering", "prefetchlab.lstm", "prefetchlab.models")
+print(json.dumps([code, [m for m in names if sys.modules.get(m) is not None]]))
 """
+MODEL_CODE = ["prefetchlab.clustering", "prefetchlab.lstm", "prefetchlab.models"]
+TRAIN_LOADS = ["numpy.random", *MODEL_CODE]
+EVAL_LOADS = ["prefetchlab.baselines", *MODEL_CODE]
+
+
+def sys_modules_changes(before):
+    """Entries of `before` that sys.modules no longer holds as they were,
+    and the None entries (import blocks) added since."""
+    return ([name for name, module in before.items() if sys.modules.get(name) is not module],
+            [name for name, module in sys.modules.items() if module is None and name not in before])
 
 
 @pytest.mark.parametrize("cfg,fresh,in_process", [
-    (STRIDE_CFG, ("simulate", "vocab"), ("train",)),
-    (REGION_CFG, ("simulate", "cluster"), ("train",)),
+    (STRIDE_CFG, {"simulate": [], "vocab": [], "train": TRAIN_LOADS, "eval": EVAL_LOADS,
+                  "report": []}, ("train", "report")),
+    (REGION_CFG, {"simulate": [], "cluster": ["numpy.random", "prefetchlab.clustering"],
+                  "train": TRAIN_LOADS, "eval": EVAL_LOADS, "report": []}, ("train", "report")),
 ])
 def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in_process):
-    """Only the cluster and train stages draw random numbers or hash the
-    config; simulate, vocab and eval import neither numpy.random nor
-    hashlib's OpenSSL module, so their peak RSS stays ~5.6 MB lower. No
-    stage run here imports numpy.ma (np.unique without counts does)."""
+    """Each stage, run in a fresh interpreter, loads only what it runs: no
+    stage loads OpenSSL, only cluster (k-means++ seeding) and train (weight
+    init) import numpy.random, the model code is imported only by the
+    stages that run it, and none imports numpy.ma (np.unique without counts
+    does). Run again in this process, `in_process` stages leave sys.modules
+    as they found it."""
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "run"
-    src = pathlib.Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-
-    def fresh_stage(stage):
-        proc = subprocess.run(
-            [sys.executable, "-c", STAGE_PROBE, stage, "--config", cfg_path, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        return json.loads(proc.stdout.splitlines()[-1])
-
-    for stage in fresh:
-        random_modules = ["_hashlib", "numpy.random"] if stage == "cluster" else []
-        assert fresh_stage(stage) == [0, random_modules], stage
+    for stage, loads in fresh.items():
+        proc = run_fresh(STAGE_PROBE, stage, "--config", cfg_path, "--out", out)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads], stage
     for stage in in_process:
+        before = dict(sys.modules)
         assert run(stage, cfg_path, out) == 0
-    assert fresh_stage("eval") == [0, []]
+        assert sys_modules_changes(before) == ([], []), stage
+
+
+# Runs train in a fresh interpreter, with OpenSSL imported first if asked,
+# and reports whether sys.modules kept its entries and gained no block,
+# and whether hashlib, imported after the stage, builds sha256 from OpenSSL.
+IN_PROCESS_PROBE = """
+import json, sys
+from prefetchlab.cli import main
+if sys.argv[1] == "preloaded":
+    import _hashlib
+before = dict(sys.modules)
+code = main(sys.argv[2:])
+changed = [name for name, module in before.items() if sys.modules.get(name) is not module]
+blocks = [name for name, module in sys.modules.items() if module is None and name not in before]
+import _hashlib, hashlib
+print(json.dumps([code, changed, blocks, hashlib.sha256 is _hashlib.openssl_sha256]))
+"""
+
+
+@pytest.mark.parametrize("openssl", ["absent", "preloaded"])
+def test_in_process_main_leaves_sys_modules_as_it_found_it(tmp_path, openssl):
+    """main() blocks OpenSSL only for the stage it runs: a caller in the
+    same process that imports hashlib afterwards gets OpenSSL's hashes, and
+    one that already had OpenSSL keeps its module."""
+    cfg_path = write_cfg(tmp_path, STRIDE_CFG)
+    out = tmp_path / "run"
+    for stage in ("simulate", "vocab"):
+        assert run(stage, cfg_path, out) == 0
+    proc = run_fresh(IN_PROCESS_PROBE, openssl, "train", "--config", cfg_path, "--out", out)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], [], True]
+
+
+# Runs one stage in a fresh interpreter in which the builtin digest modules
+# named by argv[1] cannot be imported, and reports its exit code and
+# whether OpenSSL's _hashlib was loaded.
+NO_BUILTIN_DIGESTS_PROBE = """
+import json, sys
+sys.modules.update(dict.fromkeys(json.loads(sys.argv[1]), None))
+from prefetchlab.cli import main
+code = main(sys.argv[2:])
+print(json.dumps([code, sys.modules.get("_hashlib") is not None]))
+"""
+
+
+def test_stages_keep_openssl_without_builtin_digests(tmp_path):
+    """Where hashlib's builtin digests are missing, the stages keep
+    OpenSSL, print nothing extra and hash and report the same bytes as
+    with them. _blake2 stays importable: hashlib takes blake2 from it even
+    with OpenSSL, and logs an error at import without it either way."""
+    cfg_path = write_cfg(tmp_path, STRIDE_CFG)
+    with_builtins, without = tmp_path / "with_builtins", tmp_path / "without"
+    for stage in ("simulate", "vocab"):
+        assert run(stage, cfg_path, with_builtins) == 0
+    shutil.copytree(with_builtins, without)
+    missing = [m for m in cli.BUILTIN_DIGESTS if m != "_blake2"]
+    for stage in ("train", "eval", "report"):
+        for out, blocked in ((with_builtins, []), (without, missing)):
+            proc = run_fresh(NO_BUILTIN_DIGESTS_PROBE, json.dumps(blocked), stage,
+                             "--config", cfg_path, "--out", out)
+            assert proc.stderr == "", (stage, blocked, proc.stderr)
+            openssl = bool(blocked) and stage != "eval"
+            assert json.loads(proc.stdout.splitlines()[-1]) == [0, openssl], (stage, blocked)
+    for name in ("model.bin", "report.json"):
+        assert (without / name).read_bytes() == (with_builtins / name).read_bytes(), name
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -341,7 +430,7 @@ def tampered_clusters(data: bytes, k: int, case: str) -> bytes:
     """clusters.bin with its has-norms flag (the header's last byte) or one
     float changed; after the header come k centroids, then cluster c's
     mean and std at float k + 2c and k + 2c + 1."""
-    header = len(cli.clustering.KMEANS_MAGIC) + cli.clustering._KM_HEADER.size
+    header = len(clustering.KMEANS_MAGIC) + clustering._KM_HEADER.size
     if case == "has_norms_0":
         return data[: header - 1] + b"\x00" + data[header:]
     values = np.frombuffer(data, dtype="<f8", offset=header).copy()

@@ -17,7 +17,9 @@ from prefetchlab.clustering import (
     train_deltas,
 )
 from prefetchlab.errors import ConfigError, DataError, TraceFormatError
-from prefetchlab.trace import MissStream, signed_delta
+from prefetchlab.trace import MissStream
+
+from oracles import signed_delta
 
 
 def misses_from_lines(lines, pcs=None):

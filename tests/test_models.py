@@ -9,7 +9,6 @@ import pytest
 from prefetchlab.clustering import cluster_deltas
 from prefetchlab.errors import ConfigError, DataError
 from prefetchlab import models
-from prefetchlab.lstm import finite_difference_grads, relative_grad_error
 from prefetchlab.models import (
     ClusterPrefetcher,
     EmbeddingPrefetcher,
@@ -26,6 +25,8 @@ from prefetchlab.models import (
 )
 from prefetchlab.trace import MissStream
 from prefetchlab.vocab import build_pc_vocab, build_vocab, compute_deltas
+
+from oracles import finite_difference_grads, relative_grad_error
 
 
 Row = namedtuple("Row", "timestep predicted true_delta")

@@ -12,19 +12,32 @@ import prefetchlab
 PACKAGE = pathlib.Path(prefetchlab.__file__).parent
 
 
-def test_importing_trace_loads_no_model_code():
-    """The package root re-exports nothing, so importing one module loads
-    only what that module imports; a fresh interpreter shows which."""
+def loaded_after_import(module, names):
+    """Which of `names` a fresh interpreter holds after importing `module`."""
     script = (
         "import sys\n"
-        "import prefetchlab.trace\n"
-        "print(sorted(m for m in ('prefetchlab.models', 'prefetchlab.lstm',\n"
-        "    'prefetchlab.baselines', 'prefetchlab.cli') if m in sys.modules))\n"
+        f"import {module}\n"
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_importing_trace_loads_no_model_code():
+    """The package root re-exports nothing, so importing one module loads
+    only what that module imports; a fresh interpreter shows which."""
+    names = ("prefetchlab.models", "prefetchlab.lstm", "prefetchlab.baselines", "prefetchlab.cli")
+    assert loaded_after_import("prefetchlab.trace", names) == "[]"
+
+
+def test_importing_cli_loads_no_model_code():
+    """Every stage process imports the CLI; the model, baseline and
+    clustering code is imported only by the stages that run it."""
+    names = ("prefetchlab.models", "prefetchlab.lstm", "prefetchlab.baselines",
+             "prefetchlab.clustering")
+    assert loaded_after_import("prefetchlab.cli", names) == "[]"
 
 
 def test_no_assert_statements_in_package():

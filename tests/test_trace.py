@@ -16,10 +16,11 @@ from prefetchlab.trace import (
     generate_synthetic,
     read_miss_trace,
     read_trace,
-    signed_delta,
     write_miss_trace,
     write_trace,
 )
+
+from oracles import signed_delta
 
 MASK64 = (1 << 64) - 1
 

@@ -10,7 +10,7 @@ import pytest
 
 import prefetchlab
 from prefetchlab.errors import DataError, TraceFormatError
-from prefetchlab.trace import MissStream, signed_delta
+from prefetchlab.trace import MissStream
 from prefetchlab.vocab import (
     DeltaVocab,
     build_pc_vocab,
@@ -21,6 +21,8 @@ from prefetchlab.vocab import (
     mass_prefix_length,
     save_vocab,
 )
+
+from oracles import signed_delta
 
 
 def misses_from_lines(lines, pcs=None):
