@@ -362,13 +362,35 @@ def keep_heap(libc=None) -> bool:
     `mallopt` (musl, macOS) nothing is set. Returns whether both were set.
     """
     import ctypes
-    mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
+    mallopt = _libc_function(libc, "mallopt", (ctypes.c_int, ctypes.c_int))
     if mallopt is None:
         return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1 and (
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
     )
+
+
+def release_heap(libc=None) -> bool:
+    """Give the heap's free pages back to the OS now (glibc `malloc_trim(0)`).
+
+    `keep_heap` stops glibc from trimming on its own, so eval calls this
+    once the model and its dataset are freed, before the baselines run.
+    Without `malloc_trim` nothing is done. Returns whether memory was
+    released.
+    """
+    import ctypes
+    malloc_trim = _libc_function(libc, "malloc_trim", (ctypes.c_size_t,))
+    return malloc_trim is not None and malloc_trim(0) == 1
+
+
+def _libc_function(libc, name, argtypes):
+    """`name` from `libc` (this process's C library if None) returning an
+    int, or None where the library has no such function."""
+    import ctypes
+    fn = getattr(ctypes.CDLL(None) if libc is None else libc, name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
 
 
 def run_train(cfg: dict, out_dir: str) -> dict:
@@ -399,8 +421,9 @@ def run_train(cfg: dict, out_dir: str) -> dict:
 
 def run_eval(cfg: dict, out_dir: str) -> dict:
     """Scores the model, then each baseline. Each method's prediction sets
-    are freed once scored, and the model and its dataset before the
-    baselines run, so eval holds one method's sets at a time."""
+    are freed once scored, and the model and its dataset (their heap pages
+    given back) before the baselines run, so eval holds one method's sets
+    at a time."""
     from . import baselines, models
     keep_heap()
     misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
@@ -412,6 +435,7 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
     sets = prediction_sets(model, dataset, vocabs, n_train, k)
     metrics = {"model": evaluation.metrics_summary(sets, k)}
     del sets, model, dataset, vocabs
+    release_heap()
     if cfg["eval"]["baselines"]:
         for name, prefetcher in (
             ("stream", baselines.StreamPrefetcher),

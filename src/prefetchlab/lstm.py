@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -83,6 +84,84 @@ def lstm_cell_forward(x, h_prev, c_prev, W, b):
     return h, c, (xh, *_split(a), c_prev, tc)
 
 
+# multiply-adds one job must do before it goes to the second lane: at batch 1
+# the hand-off between threads costs more than the GEMV it moves
+LANE_MIN_MACS = 1 << 20
+
+
+def _lane_worker(jobs):
+    while True:
+        _lane_job(*jobs.get()).release()
+
+
+def _lane_job(fn, calls, out, errors, done):
+    # returns before the caller is signalled, so the worker holds no array
+    # of a finished call
+    try:
+        for i, args in calls:
+            out[i] = fn(*args)
+    except BaseException as e:  # re-raised by the caller
+        errors.append(e)
+    return done
+
+
+class Lanes:
+    """The calling thread plus one worker thread, for calls whose writes are
+    disjoint.
+
+    `run(fn, calls, macs)` returns `[fn(*args) for args in calls]`. When each
+    call does at least `LANE_MIN_MACS` multiply-adds and the process may run
+    on more than one CPU, the caller runs the first call and the worker the
+    rest, in order; numpy releases the interpreter lock inside its GEMMs, so
+    the two overlap. Every call does what it would do alone, so results are
+    bit-identical to the inline loop, which runs otherwise: below the
+    threshold no thread starts and nothing is imported. The worker starts on
+    first use, and again in a forked child, which inherits no threads.
+    """
+
+    def __init__(self):
+        self._pid = None
+        self._jobs = None
+
+    def _worker_jobs(self):
+        """The worker's queue, or None on one CPU."""
+        if self._pid != os.getpid():
+            self._pid, self._jobs = os.getpid(), None
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            if cpus > 1:
+                import queue
+                import threading
+                self._jobs = queue.SimpleQueue()
+                threading.Thread(
+                    target=_lane_worker, args=(self._jobs,), name="lstm-lane", daemon=True
+                ).start()
+        return self._jobs
+
+    def run(self, fn, calls, macs):
+        jobs = self._worker_jobs() if len(calls) > 1 and macs >= LANE_MIN_MACS else None
+        if jobs is None:
+            return [fn(*args) for args in calls]
+        import threading
+        out, errors, done = [None] * len(calls), [], threading.Lock()
+        done.acquire()
+        jobs.put((fn, list(enumerate(calls))[1:], out, errors, done))
+        try:
+            out[0] = fn(*calls[0])
+        finally:
+            # this call's own signal: the worker is done with its arrays
+            # before they are returned, freed or raised past
+            done.acquire()
+        if errors:
+            raise errors[0]
+        return out
+
+
+LANES = Lanes()
+
+
 def zero_states(n_layers: int, batch: int, hidden: int, dtype=np.float64):
     return [
         (np.zeros((batch, hidden), dtype=dtype), np.zeros((batch, hidden), dtype=dtype))
@@ -103,19 +182,24 @@ def lstm_forward(buf, states, Ws, bs, cache=True):
     has read them, which is all inference needs; results are unchanged.
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
-    do not depend on each other: after each layer's own `[x | h] @ W.T`,
-    their gate math runs once on (n, B, 4H) stacks. Each element sees the
-    operations of a step-by-step walk in the same order, so results are
-    bit-identical to it. All layers share one hidden size H. On diagonal d
-    layer l's `[x | h]` is one slice of row d (columns [0, D+H) for l = 0,
-    [D+(l-1)H, D+(l+1)H) above), and the diagonal's h stack is stored once,
-    in row d+1, as both the next step's and the next layer's input.
+    do not depend on each other: after each layer's own `[x | h] @ W.T`
+    (on `LANES` when it is large enough), their gate math runs once on
+    (n, B, 4H) stacks. Each element sees the operations of a step-by-step
+    walk in the same order, so results are bit-identical to it. All layers
+    share one hidden size H. On diagonal d layer l's `[x | h]` is one slice
+    of row d (columns [0, D+H) for l = 0, [D+(l-1)H, D+(l+1)H) above), and
+    the diagonal's h stack is stored once, in row d+1, as both the next
+    step's and the next layer's input.
     """
     L, H = len(Ws), Ws[0].shape[0] // 4
     if any(W.shape[0] != 4 * H for W in Ws):
         raise ConfigError("all LSTM layers must share one hidden size")
     T, B, D = len(buf) - L, buf.shape[1], Ws[0].shape[1] - H
     cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
+    # below the threshold the GEMMs run in the loop as they always did: at
+    # batch 1 even building the lane calls would cost ~2% of a diagonal
+    macs = B * 4 * H * (H + min(D, H))  # the smallest layer GEMM
+    lanes = L > 1 and macs >= LANE_MIN_MACS
     hs = buf[:, :, D:].reshape(T + L, B, L, H)  # hs[r, :, l] is h_l(r-l-1)
     for l, (h, _) in enumerate(states):
         hs[l, :, l] = h
@@ -126,8 +210,12 @@ def lstm_forward(buf, states, Ws, bs, cache=True):
     for d in range(T + L - 1):
         lo, hi = max(0, d - T + 1), min(L, d + 1)
         z = np.empty((hi - lo, B, 4 * H), dtype=buf.dtype)
-        for l in range(lo, hi):
-            np.matmul(buf[d, :, cols[l]], Ws[l].T, out=z[l - lo])
+        if lanes:
+            gemms = [(buf[d, :, cols[l]], Ws[l].T, z[l - lo]) for l in range(lo, hi)]
+            LANES.run(np.matmul, gemms, macs)
+        else:
+            for l in range(lo, hi):
+                np.matmul(buf[d, :, cols[l]], Ws[l].T, out=z[l - lo])
         # the layer that reached t = T-1 drops out (d >= T); layer d starts (d < L)
         c_prev = c[lo - max(0, d - T) :]
         if d < L:
@@ -147,7 +235,9 @@ def lstm_backward(dH_top, caches, Ws):
 
     Walks the forward's diagonals in reverse: cell (t, l) takes its
     gradients from (t, l+1) and (t+1, l), both on diagonal d+1, and its
-    `[x | h]` from row t+l of the window buffer. Returns (dX, dWs, dbs).
+    `[x | h]` from row t+l of the window buffer. The gate gradients of a
+    diagonal are computed in one stack; each layer's GEMMs and writes then
+    run on `LANES` when they are large enough. Returns (dX, dWs, dbs).
     """
     buf, diagonals = caches
     T, B, H = dH_top.shape
@@ -159,6 +249,19 @@ def lstm_backward(dH_top, caches, Ws):
     dh_next, d_above = [zero[0]] * L, [None] * L
     dc_next = zero[:0]  # dc * f of the diagonal after this one
     dX = np.empty((T, B, D), dtype=dH_top.dtype)
+    macs = B * 4 * H * (H + min(D, H))
+    lanes = L > 1 and macs >= LANE_MIN_MACS
+
+    def layer(l, d, dz_l, db_l):
+        # the layers of one diagonal write disjoint arrays and list slots
+        dWs[l] += dz_l.T @ buf[d, :, cols[l]]
+        dbs[l] += db_l
+        dxh = dz_l @ Ws[l]
+        dh_next[l] = dxh[:, -H:]
+        if l:
+            d_above[l - 1] = dxh[:, :-H]
+        else:
+            dX[d] = dxh[:, :-H]
 
     for d in range(T + L - 2, -1, -1):
         lo, a, c_prev, c = diagonals[d]
@@ -183,15 +286,11 @@ def lstm_backward(dH_top, caches, Ws):
         dz[..., 2 * H : 3 * H] = dg
         db = dz.sum(axis=1)
         dc_next = dc * f
-        for l in range(lo, hi):
-            dWs[l] += dz[l - lo].T @ buf[d, :, cols[l]]
-            dbs[l] += db[l - lo]
-            dxh = dz[l - lo] @ Ws[l]
-            dh_next[l] = dxh[:, -H:]
-            if l:
-                d_above[l - 1] = dxh[:, :-H]
-            else:
-                dX[d] = dxh[:, :-H]
+        if lanes:
+            LANES.run(layer, [(l, d, dz[l - lo], db[l - lo]) for l in range(lo, hi)], macs)
+        else:
+            for l in range(lo, hi):
+                layer(l, d, dz[l - lo], db[l - lo])
     return dX, dWs, dbs
 
 

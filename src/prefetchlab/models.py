@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .eval import Predictions
 from .lstm import (
+    LANES,
     adagrad_step,
     adam_step,
     clip_global_norm,
@@ -123,10 +124,15 @@ class _LstmPrefetcher:
         loss, dlogits, flat, new_states, caches = self._loss_terms(a, b, labels, states, cache=True)
         # in params order: clip_global_norm sums the squares in dict order
         grads = dict.fromkeys(self.params)
-        grads["head_W"] = dlogits.T @ flat
+        # the head's two gradient GEMMs, on two lanes at a large head; no name
+        # is bound to their operands, so `del dlogits` below frees the buffer
+        grads["head_W"], dH = LANES.run(
+            np.matmul, [(dlogits.T, flat), (dlogits, self.params["head_W"])],
+            dlogits.size * self.hidden,
+        )
         grads["head_b"] = dlogits.sum(axis=0)
         T, B = np.shape(b)
-        dH_top = (dlogits @ self.params["head_W"]).reshape(T, B, self.hidden)
+        dH_top = dH.reshape(T, B, self.hidden)
         # the (T*B, C) head buffer is freed before the LSTM backward runs
         del dlogits
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from prefetchlab import baselines, cli, clustering, models
+from prefetchlab import baselines, cli, clustering, lstm, models
 from prefetchlab.cli import load_config, main
 
 STRIDE_CFG = {
@@ -181,6 +181,17 @@ def test_keep_heap_without_mallopt_is_a_no_op():
     assert not cli.keep_heap(object())
 
 
+def test_release_heap_trims_through_malloc_trim():
+    pads = []
+    libc = types.SimpleNamespace(malloc_trim=lambda pad: pads.append(pad) or 1)
+    assert cli.release_heap(libc)
+    assert pads == [0]
+
+
+def test_release_heap_without_malloc_trim_is_a_no_op():
+    assert not cli.release_heap(object())
+
+
 def test_embedding_pipeline_stages(tmp_path):
     cfg_path = write_cfg(tmp_path, STRIDE_CFG)
     out = tmp_path / "run"
@@ -260,9 +271,14 @@ def test_eval_holds_one_method_sets_at_a_time(tmp_path, monkeypatch, cfg, stages
     monkeypatch.setattr(models, sets_fn, model_sets)
     monkeypatch.setattr(baselines, "baseline_prediction_sets",
                         functools.partial(watched, real_baseline_sets))
+    alive_at_release = []
+    monkeypatch.setattr(cli, "release_heap", lambda: alive_at_release.append(
+        [name for name, ref in made if ref() is not None]))
     assert run("eval", cfg_path, out) == 0
     # the model, and each method's sets once scored, are gone before the next method runs
     assert alive_at_call == [["model"], [], []]
+    # the heap is released once, after the model and its sets are gone
+    assert alive_at_release == [[]]
 
 
 def fresh_env():
@@ -278,6 +294,37 @@ def run_fresh(script, *args):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc
+
+
+# Large enough that the LSTM layer GEMMs (B = 64, H = 64, D = 64) and the
+# head's gradient GEMMs (T*B = 1024 rows, ~200 classes) run on two lanes
+LANE_CFG = {
+    "seed": 5,
+    "trace": {"kind": "pc_correlated", "length": 4000, "table": [64 * (j + 1) for j in range(200)],
+              "shifts": [1, 37, 91, 150], "run_length": 1, "selection": "round_robin"},
+    "model": {"type": "embedding", "hidden": 64, "embed": 32, "dtype": "float32"},
+    "train": {"steps": 2, "batch": 64, "window": 16},
+    "vocab": {"min_input_count": 2},
+}
+
+
+def test_training_is_deterministic_under_multithreaded_blas(tmp_path):
+    """Two fresh `train` processes with two BLAS threads write the same
+    model.bin, with the step's GEMMs on two lanes."""
+    assert 64 * 4 * 64 * (64 + 64) >= lstm.LANE_MIN_MACS
+    cfg_path = write_cfg(tmp_path, LANE_CFG)
+    first = tmp_path / "first"
+    for stage in ("simulate", "vocab"):
+        assert run(stage, cfg_path, first) == 0
+    second = tmp_path / "second"
+    shutil.copytree(first, second)
+    env = dict(fresh_env(), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    for out in (first, second):
+        argv = [sys.executable, "-m", "prefetchlab.cli", "train", "--config", cfg_path,
+                "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (first / "model.bin").read_bytes() == (second / "model.bin").read_bytes()
 
 
 # Runs one stage in a fresh interpreter and reports its exit code and which

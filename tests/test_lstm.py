@@ -1,8 +1,14 @@
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from prefetchlab import lstm
 from prefetchlab.errors import ConfigError, TraceFormatError
 from prefetchlab.lstm import (
     adagrad_step,
@@ -451,6 +457,143 @@ def test_forward_rejects_mixed_hidden_sizes():
     states = [(np.zeros((2, 4)), np.zeros((2, 4))), (np.zeros((2, 6)), np.zeros((2, 6)))]
     with pytest.raises(ConfigError):
         window_forward(np.zeros((5, 2, 3)), states, [W0, W1], [b0, b1])
+
+
+# ---------------------------------------------------------------------------
+# Two lanes
+# ---------------------------------------------------------------------------
+
+
+def lane_thread_started():
+    return any(t.name == "lstm-lane" for t in threading.enumerate())
+
+
+def multi_cpu():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def lane_case(rng, L, dtype, T=64, B=64, D=256, H=128):
+    Ws = [lstm_layer_init(D if l == 0 else H, H, rng, dtype)[0] for l in range(L)]
+    bs = [(rng.normal(size=4 * H) * 0.5).astype(dtype) for _ in Ws]
+    X = rng.normal(size=(T, B, D)).astype(dtype)
+    states = [(rng.uniform(-1, 1, size=(B, H)).astype(dtype),
+               rng.normal(size=(B, H)).astype(dtype)) for _ in Ws]
+    dH = rng.normal(size=(T, B, H)).astype(dtype)
+    return X, states, Ws, bs, dH
+
+
+def forward_backward(X, states, Ws, bs, dH):
+    """Every output of a window's forward and backward, in one list."""
+    out, finals, caches = window_forward(X, states, Ws, bs)
+    dX, dWs, dbs = lstm_backward(dH, caches, Ws)
+    return [out, *(a for state in finals for a in state), dX, *dWs, *dbs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_lanes_bit_equal_to_inline(monkeypatch, dtype, L):
+    X, states, Ws, bs, dH = lane_case(np.random.default_rng(L), L, dtype)
+    monkeypatch.setattr(lstm, "LANE_MIN_MACS", float("inf"))
+    inline = forward_backward(X, states, Ws, bs, dH)
+    monkeypatch.setattr(lstm, "LANE_MIN_MACS", 0)
+    lanes = forward_backward(X, states, Ws, bs, dH)
+    assert len(lanes) == 1 + 2 * L + 1 + 2 * L
+    for got, ref in zip(lanes, inline):
+        assert_bit_equal(got, ref)
+    if L > 1 and multi_cpu():
+        assert lane_thread_started()
+
+
+def test_lane_worker_error_reraises_in_the_caller():
+    def job(i, log):
+        log.append(i)
+        if i == 1:
+            raise ValueError("lane job failed")
+        return 2 * i
+
+    log = []
+    with pytest.raises(ValueError, match="lane job failed"):
+        lstm.LANES.run(job, [(0, log), (1, log), (2, log)], lstm.LANE_MIN_MACS)
+    assert sorted(log) == [0, 1]  # the failed lane stops at its error
+    assert lstm.LANES.run(job, [(0, []), (2, []), (3, [])], lstm.LANE_MIN_MACS) == [0, 4, 6]
+
+
+@pytest.mark.skipif(not multi_cpu(), reason="lanes need two CPUs")
+def test_lane_caller_error_waits_for_the_worker():
+    def job(i, log):
+        if i == 0:
+            raise KeyError("caller job failed")
+        time.sleep(0.05)
+        log.append(i)
+
+    log = []
+    with pytest.raises(KeyError):
+        lstm.LANES.run(job, [(0, log), (1, log)], lstm.LANE_MIN_MACS)
+    assert log == [1]
+
+
+def test_lanes_keep_every_result_under_contention():
+    """Four caller threads share the one worker, with thread switches forced
+    every microsecond: each call gets back exactly its own results."""
+    def job(caller, call, i, slots):
+        slots[i] = (caller, call, i)
+        return slots[i]
+
+    failures = []
+
+    def caller(c):
+        for call in range(100):
+            slots = [None] * 3
+            got = lstm.LANES.run(job, [(c, call, i, slots) for i in range(3)],
+                                 lstm.LANE_MIN_MACS)
+            if got != slots or got != [(c, call, i) for i in range(3)]:
+                failures.append((c, call, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_lanes(monkeypatch):
+    """A child forked after the worker started gets its own worker."""
+    monkeypatch.setattr(lstm, "LANE_MIN_MACS", 0)
+    rng = np.random.default_rng(7)
+    X, states, Ws, bs, dH = lane_case(rng, 2, np.float32, T=8, B=16, D=32, H=32)
+    expected = forward_backward(X, states, Ws, bs, dH)
+    with warnings.catch_warnings():  # forking a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = forward_backward(X, states, Ws, bs, dH)
+            same = all(np.array_equal(g, e) for g, e in zip(got, expected))
+            code = 0 if same and lane_thread_started() == multi_cpu() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its forward in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_backward_matches_finite_differences():

@@ -8,7 +8,7 @@ import pytest
 
 from prefetchlab.clustering import cluster_deltas
 from prefetchlab.errors import ConfigError, DataError
-from prefetchlab import models
+from prefetchlab import lstm, models
 from prefetchlab.models import (
     ClusterPrefetcher,
     EmbeddingPrefetcher,
@@ -221,6 +221,48 @@ def test_training_step_holds_one_head_buffer(monkeypatch):
         assert peaks[1] - peaks[0] <= 1.3 * buffer_growth, make_case.__name__
         # only the (C, H) and (C,) head grads may grow with C by then
         assert live_at_backward[1] - live_at_backward[0] <= 0.3 * buffer_growth
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_step_on_lanes_bit_equal_to_inline(monkeypatch, dtype, layers):
+    """A training step at T = B = 64, D = 256, H = 128, 1k classes gives the
+    same loss, gradients (the head's included) and states on two lanes as
+    inline."""
+    T = B = 64
+    model = EmbeddingPrefetcher(50, 4, 1000, hidden=128, embed=128, layers=layers,
+                                dtype=dtype, seed=1)
+    rng = np.random.default_rng(layers)
+    inputs = rng.integers(0, 4, size=(T, B)), rng.integers(0, 50, size=(T, B))
+    labels = rng.integers(-1, 1001, size=(T, B))
+    steps = []
+    for threshold in (float("inf"), 0):
+        monkeypatch.setattr(lstm, "LANE_MIN_MACS", threshold)
+        steps.append(model.loss_and_grads(*inputs, labels, model.zero_states(B)))
+    (loss, grads, states), (loss_ref, grads_ref, states_ref) = steps
+    assert loss == loss_ref and list(grads) == list(grads_ref)
+    got = [*grads.values(), *(a for state in states for a in state)]
+    ref = [*grads_ref.values(), *(a for state in states_ref for a in state)]
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
+def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch):
+    """No job goes to the second lane, and so no thread starts, in a
+    training step at the cluster workload's shape (3 clusters as batch
+    rows, T = 64, H = 64, 21 classes) or in eval's batch-1 forward at
+    `pc_table_1k`'s shape (H = E = 128, 1k classes, 512-step windows)."""
+    def no_worker():
+        raise AssertionError("a lane was asked for below the threshold")
+
+    monkeypatch.setattr(lstm.LANES, "_worker_jobs", no_worker)
+    rng = np.random.default_rng(8)
+    model = ClusterPrefetcher([20, 20, 20], hidden=64, dtype=np.float32, seed=0)
+    model.loss_and_grads(rng.normal(size=(64, 3)), rng.integers(0, 3, size=(64, 3)),
+                         rng.integers(-1, 21, size=(64, 3)), model.zero_states(3))
+    model = EmbeddingPrefetcher(1000, 4, 1000, hidden=128, embed=128, dtype=np.float32, seed=0)
+    model.predict_topk(rng.integers(0, 4, size=(512, 1)), rng.integers(0, 1000, size=(512, 1)),
+                       model.zero_states(1))
 
 
 def test_modality_widths_are_preserved():
