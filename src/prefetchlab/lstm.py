@@ -87,6 +87,25 @@ def lstm_cell_forward(x, h_prev, c_prev, W, b):
 # multiply-adds one job must do before it goes to the second lane: at batch 1
 # the hand-off between threads costs more than the GEMV it moves
 LANE_MIN_MACS = 1 << 20
+# what OpenBLAS reads, in its order, for its thread count at load time
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads each BLAS call uses: the first positive count among
+    `BLAS_THREAD_VARS`, else one per CPU, as OpenBLAS starts them."""
+    for name in BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus()
 
 
 def _lane_worker(jobs):
@@ -110,12 +129,14 @@ class Lanes:
     disjoint.
 
     `run(fn, calls, macs)` returns `[fn(*args) for args in calls]`. When each
-    call does at least `LANE_MIN_MACS` multiply-adds and the process may run
-    on more than one CPU, the caller runs the first call and the worker the
-    rest, in order; numpy releases the interpreter lock inside its GEMMs, so
-    the two overlap. Every call does what it would do alone, so results are
-    bit-identical to the inline loop, which runs otherwise: below the
-    threshold no thread starts and nothing is imported. The worker starts on
+    call does at least `LANE_MIN_MACS` multiply-adds, the process may run on
+    more than one CPU and BLAS runs one thread per call, the caller runs the
+    first call and the worker the rest, in order; numpy releases the
+    interpreter lock inside its GEMMs, so the two overlap. A BLAS that
+    already spreads each GEMM over the CPUs gains nothing from a second
+    lane, and lanes stay off. Every call does what it would do alone, so
+    results are bit-identical to the inline loop, which runs otherwise:
+    then no thread starts and nothing is imported. The worker starts on
     first use, and again in a forked child, which inherits no threads.
     """
 
@@ -124,30 +145,23 @@ class Lanes:
         self._jobs = None
 
     def _worker_jobs(self):
-        """The worker's queue, or None on one CPU."""
+        """The worker's queue, started in this process if need be."""
         if self._pid != os.getpid():
-            self._pid, self._jobs = os.getpid(), None
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            if cpus > 1:
-                import queue
-                import threading
-                self._jobs = queue.SimpleQueue()
-                threading.Thread(
-                    target=_lane_worker, args=(self._jobs,), name="lstm-lane", daemon=True
-                ).start()
+            import queue
+            import threading
+            self._pid, self._jobs = os.getpid(), queue.SimpleQueue()
+            threading.Thread(
+                target=_lane_worker, args=(self._jobs,), name="lstm-lane", daemon=True
+            ).start()
         return self._jobs
 
     def run(self, fn, calls, macs):
-        jobs = self._worker_jobs() if len(calls) > 1 and macs >= LANE_MIN_MACS else None
-        if jobs is None:
+        if len(calls) < 2 or macs < LANE_MIN_MACS or cpus() < 2 or blas_threads() > 1:
             return [fn(*args) for args in calls]
         import threading
         out, errors, done = [None] * len(calls), [], threading.Lock()
         done.acquire()
-        jobs.put((fn, list(enumerate(calls))[1:], out, errors, done))
+        self._worker_jobs().put((fn, list(enumerate(calls))[1:], out, errors, done))
         try:
             out[0] = fn(*calls[0])
         finally:
@@ -169,6 +183,11 @@ def zero_states(n_layers: int, batch: int, hidden: int, dtype=np.float64):
     ]
 
 
+def _layer_macs(B, D, H):
+    """Multiply-adds of the smallest layer GEMM of a (B, D)-input, H-wide stack."""
+    return B * 4 * H * (H + min(D, H))
+
+
 def lstm_forward(buf, states, Ws, bs, cache=True):
     """Run a window through the stack in its (T+L, B, D+L*H) buffer `buf`.
 
@@ -183,23 +202,20 @@ def lstm_forward(buf, states, Ws, bs, cache=True):
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
     do not depend on each other: after each layer's own `[x | h] @ W.T`
-    (on `LANES` when it is large enough), their gate math runs once on
-    (n, B, 4H) stacks. Each element sees the operations of a step-by-step
-    walk in the same order, so results are bit-identical to it. All layers
-    share one hidden size H. On diagonal d layer l's `[x | h]` is one slice
-    of row d (columns [0, D+H) for l = 0, [D+(l-1)H, D+(l+1)H) above), and
-    the diagonal's h stack is stored once, in row d+1, as both the next
-    step's and the next layer's input.
+    (through `LANES`, which may run them on two threads), their gate math
+    runs once on (n, B, 4H) stacks. Each element sees the operations of a
+    step-by-step walk in the same order, so results are bit-identical to
+    it. All layers share one hidden size H. On diagonal d layer l's
+    `[x | h]` is one slice of row d (columns [0, D+H) for l = 0,
+    [D+(l-1)H, D+(l+1)H) above), and the diagonal's h stack is stored once,
+    in row d+1, as both the next step's and the next layer's input.
     """
     L, H = len(Ws), Ws[0].shape[0] // 4
     if any(W.shape[0] != 4 * H for W in Ws):
         raise ConfigError("all LSTM layers must share one hidden size")
     T, B, D = len(buf) - L, buf.shape[1], Ws[0].shape[1] - H
     cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
-    # below the threshold the GEMMs run in the loop as they always did: at
-    # batch 1 even building the lane calls would cost ~2% of a diagonal
-    macs = B * 4 * H * (H + min(D, H))  # the smallest layer GEMM
-    lanes = L > 1 and macs >= LANE_MIN_MACS
+    macs = _layer_macs(B, D, H)
     hs = buf[:, :, D:].reshape(T + L, B, L, H)  # hs[r, :, l] is h_l(r-l-1)
     for l, (h, _) in enumerate(states):
         hs[l, :, l] = h
@@ -210,12 +226,8 @@ def lstm_forward(buf, states, Ws, bs, cache=True):
     for d in range(T + L - 1):
         lo, hi = max(0, d - T + 1), min(L, d + 1)
         z = np.empty((hi - lo, B, 4 * H), dtype=buf.dtype)
-        if lanes:
-            gemms = [(buf[d, :, cols[l]], Ws[l].T, z[l - lo]) for l in range(lo, hi)]
-            LANES.run(np.matmul, gemms, macs)
-        else:
-            for l in range(lo, hi):
-                np.matmul(buf[d, :, cols[l]], Ws[l].T, out=z[l - lo])
+        gemms = [(buf[d, :, cols[l]], Ws[l].T, z[l - lo]) for l in range(lo, hi)]
+        LANES.run(np.matmul, gemms, macs)  # each writes its out=z[l - lo]
         # the layer that reached t = T-1 drops out (d >= T); layer d starts (d < L)
         c_prev = c[lo - max(0, d - T) :]
         if d < L:
@@ -237,7 +249,7 @@ def lstm_backward(dH_top, caches, Ws):
     gradients from (t, l+1) and (t+1, l), both on diagonal d+1, and its
     `[x | h]` from row t+l of the window buffer. The gate gradients of a
     diagonal are computed in one stack; each layer's GEMMs and writes then
-    run on `LANES` when they are large enough. Returns (dX, dWs, dbs).
+    go through `LANES`. Returns (dX, dWs, dbs).
     """
     buf, diagonals = caches
     T, B, H = dH_top.shape
@@ -249,8 +261,7 @@ def lstm_backward(dH_top, caches, Ws):
     dh_next, d_above = [zero[0]] * L, [None] * L
     dc_next = zero[:0]  # dc * f of the diagonal after this one
     dX = np.empty((T, B, D), dtype=dH_top.dtype)
-    macs = B * 4 * H * (H + min(D, H))
-    lanes = L > 1 and macs >= LANE_MIN_MACS
+    macs = _layer_macs(B, D, H)
 
     def layer(l, d, dz_l, db_l):
         # the layers of one diagonal write disjoint arrays and list slots
@@ -286,11 +297,7 @@ def lstm_backward(dH_top, caches, Ws):
         dz[..., 2 * H : 3 * H] = dg
         db = dz.sum(axis=1)
         dc_next = dc * f
-        if lanes:
-            LANES.run(layer, [(l, d, dz[l - lo], db[l - lo]) for l in range(lo, hi)], macs)
-        else:
-            for l in range(lo, hi):
-                layer(l, d, dz[l - lo], db[l - lo])
+        LANES.run(layer, [(l, d, dz[l - lo], db[l - lo]) for l in range(lo, hi)], macs)
     return dX, dWs, dbs
 
 
@@ -441,6 +448,18 @@ CKPT_DTYPES = {
     for dt in map(np.dtype, ("<f4", "<f8", "<i1", "<i2", "<i4", "<i8",
                              "<u1", "<u2", "<u4", "<u8"))
 }
+# loaded tensors start on this byte boundary: OpenBLAS's batch-1 GEMVs run
+# ~7% slower on a weight matrix at 16 than at 0 mod 32 bytes, so eval's
+# speed would otherwise follow where the heap puts each copy
+CKPT_ALIGN = 64
+
+
+def _aligned_empty(shape, dtype):
+    """An uninitialized array whose data starts on a `CKPT_ALIGN` boundary."""
+    n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    raw = np.empty(n_bytes + CKPT_ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % CKPT_ALIGN
+    return raw[start : start + n_bytes].view(dtype).reshape(shape)
 
 
 def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
@@ -493,8 +512,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
                 raise TraceFormatError(
                     f"{path}: unsupported dtype {stored!r} at byte offset {offset}"
                 )
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-            arr = np.frombuffer(read_exact(f, n_bytes, path), dtype=dtype).reshape(shape).copy()
+            arr = _aligned_empty(shape, dtype)
+            arr[...] = np.frombuffer(read_exact(f, arr.nbytes, path), dtype=dtype).reshape(shape)
             arrays[name] = arr
     return arrays, meta
 

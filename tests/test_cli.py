@@ -298,6 +298,7 @@ def run_fresh(script, *args):
 
 # Large enough that the LSTM layer GEMMs (B = 64, H = 64, D = 64) and the
 # head's gradient GEMMs (T*B = 1024 rows, ~200 classes) run on two lanes
+# where BLAS runs one thread
 LANE_CFG = {
     "seed": 5,
     "trace": {"kind": "pc_correlated", "length": 4000, "table": [64 * (j + 1) for j in range(200)],
@@ -308,17 +309,19 @@ LANE_CFG = {
 }
 
 
-def test_training_is_deterministic_under_multithreaded_blas(tmp_path):
-    """Two fresh `train` processes with two BLAS threads write the same
-    model.bin, with the step's GEMMs on two lanes."""
-    assert 64 * 4 * 64 * (64 + 64) >= lstm.LANE_MIN_MACS
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_training_is_deterministic_at_each_blas_thread_count(tmp_path, blas_threads):
+    """Two fresh `train` processes at one BLAS thread count write the same
+    model.bin: at one thread with the step's GEMMs on two lanes, at two
+    with each GEMM spread by BLAS and lanes off."""
+    assert lstm._layer_macs(64, 64, 64) >= lstm.LANE_MIN_MACS
     cfg_path = write_cfg(tmp_path, LANE_CFG)
     first = tmp_path / "first"
     for stage in ("simulate", "vocab"):
         assert run(stage, cfg_path, first) == 0
     second = tmp_path / "second"
     shutil.copytree(first, second)
-    env = dict(fresh_env(), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env = dict(fresh_env(), OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     for out in (first, second):
         argv = [sys.executable, "-m", "prefetchlab.cli", "train", "--config", cfg_path,
                 "--out", str(out)]

@@ -469,9 +469,14 @@ def lane_thread_started():
 
 
 def multi_cpu():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+    return lstm.cpus() > 1
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Lanes as under a BLAS pinned to one thread, whatever this process's
+    BLAS runs."""
+    monkeypatch.setattr(lstm, "blas_threads", lambda: 1)
 
 
 def lane_case(rng, L, dtype, T=64, B=64, D=256, H=128):
@@ -493,7 +498,7 @@ def forward_backward(X, states, Ws, bs, dH):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("L", [1, 2, 3])
-def test_lanes_bit_equal_to_inline(monkeypatch, dtype, L):
+def test_lanes_bit_equal_to_inline(monkeypatch, one_blas_thread, dtype, L):
     X, states, Ws, bs, dH = lane_case(np.random.default_rng(L), L, dtype)
     monkeypatch.setattr(lstm, "LANE_MIN_MACS", float("inf"))
     inline = forward_backward(X, states, Ws, bs, dH)
@@ -506,7 +511,7 @@ def test_lanes_bit_equal_to_inline(monkeypatch, dtype, L):
         assert lane_thread_started()
 
 
-def test_lane_worker_error_reraises_in_the_caller():
+def test_lane_worker_error_reraises_in_the_caller(one_blas_thread):
     def job(i, log):
         log.append(i)
         if i == 1:
@@ -521,7 +526,7 @@ def test_lane_worker_error_reraises_in_the_caller():
 
 
 @pytest.mark.skipif(not multi_cpu(), reason="lanes need two CPUs")
-def test_lane_caller_error_waits_for_the_worker():
+def test_lane_caller_error_waits_for_the_worker(one_blas_thread):
     def job(i, log):
         if i == 0:
             raise KeyError("caller job failed")
@@ -534,7 +539,7 @@ def test_lane_caller_error_waits_for_the_worker():
     assert log == [1]
 
 
-def test_lanes_keep_every_result_under_contention():
+def test_lanes_keep_every_result_under_contention(one_blas_thread):
     """Four caller threads share the one worker, with thread switches forced
     every microsecond: each call gets back exactly its own results."""
     def job(caller, call, i, slots):
@@ -565,8 +570,42 @@ def test_lanes_keep_every_result_under_contention():
     assert failures == []
 
 
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (4, 2), (8, 4)])
+def test_lanes_stay_off_on_one_cpu_or_beside_threaded_blas(monkeypatch, cpus, threads):
+    """One CPU, or a BLAS that runs several threads per call, gets no
+    second lane."""
+    def no_worker():
+        raise AssertionError("a lane was asked for")
+
+    monkeypatch.setattr(lstm, "cpus", lambda: cpus)
+    monkeypatch.setattr(lstm, "blas_threads", lambda: threads)
+    monkeypatch.setattr(lstm.LANES, "_worker_jobs", no_worker)
+    assert lstm.LANES.run(lambda i: 2 * i, [(1,), (2,)], lstm.LANE_MIN_MACS) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "4"}, 3),
+        ({"OMP_NUM_THREADS": "2,1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, None),
+        ({}, None),
+    ],
+)
+def test_blas_threads_read_as_openblas_reads_them(monkeypatch, env, expected):
+    """The first positive count among the variables OpenBLAS reads; with
+    none, one thread per CPU."""
+    for name in lstm.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert lstm.blas_threads() == (lstm.cpus() if expected is None else expected)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_runs_lanes(monkeypatch):
+def test_forked_child_runs_lanes(monkeypatch, one_blas_thread):
     """A child forked after the worker started gets its own worker."""
     monkeypatch.setattr(lstm, "LANE_MIN_MACS", 0)
     rng = np.random.default_rng(7)
@@ -942,6 +981,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(loaded[name], a)
         # bit-exact, not just close
         assert loaded[name].tobytes() == a.tobytes()
+        # where the heap would put a copy does not set a GEMV's speed
+        assert loaded[name].ctypes.data % lstm.CKPT_ALIGN == 0
+        assert loaded[name].flags.c_contiguous and loaded[name].flags.writeable
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -235,6 +235,7 @@ def test_step_on_lanes_bit_equal_to_inline(monkeypatch, dtype, layers):
     rng = np.random.default_rng(layers)
     inputs = rng.integers(0, 4, size=(T, B)), rng.integers(0, 50, size=(T, B))
     labels = rng.integers(-1, 1001, size=(T, B))
+    monkeypatch.setattr(lstm, "blas_threads", lambda: 1)
     steps = []
     for threshold in (float("inf"), 0):
         monkeypatch.setattr(lstm, "LANE_MIN_MACS", threshold)
@@ -255,6 +256,7 @@ def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch):
     def no_worker():
         raise AssertionError("a lane was asked for below the threshold")
 
+    monkeypatch.setattr(lstm, "blas_threads", lambda: 1)
     monkeypatch.setattr(lstm.LANES, "_worker_jobs", no_worker)
     rng = np.random.default_rng(8)
     model = ClusterPrefetcher([20, 20, 20], hidden=64, dtype=np.float32, seed=0)
