@@ -17,7 +17,9 @@ and seed; reports are byte-identical across repeat runs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import importlib.util
 import math
 import os
@@ -109,9 +111,11 @@ def load_config(path, seed: int | None = None) -> dict:
     """
     with open(path) as f:
         try:
-            cfg = yaml.load(f, Loader=YAML_LOADER) or {}
+            cfg = yaml.load(f, Loader=YAML_LOADER)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: invalid YAML: {' '.join(str(e).split())}") from None
+    if cfg is None:  # an empty document: every default
+        cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     if seed is not None:
@@ -516,6 +520,11 @@ _STAGES = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # main owns the process (the console script, `sys.exit(main())`):
+        # frozen at exit, the interpreter's last collection visits none of
+        # the stage's objects, which the process is about to drop anyway
+        atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="prefetchlab",
         description="Cache miss prefetcher workbench: trace simulation, "

@@ -22,14 +22,16 @@ import numpy as np
 from .errors import ConfigError, TraceFormatError, read_exact
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None, e=None) -> np.ndarray:
+    """Logistic sigmoid of x, into `out` if given; `e` is an optional
+    scratch array shaped like x."""
     # exp of a non-positive argument cannot overflow; per sign this is
     # 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)), the split-sign formulas
-    e = np.abs(x)
+    e = np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1
-    out = np.minimum(x, 0)
+    out = np.minimum(x, 0, out=out)
     np.exp(out, out=out)
     out /= e
     return out
@@ -53,35 +55,39 @@ def lstm_layer_init(
     return W, b
 
 
-def _gates(z, b, c_prev):
-    """Gate math on pre-activations z = [x | h_prev] @ W.T of shape (..., 4H).
+def _gates(z, b, c_prev, a, c, h, e, ig, tc):
+    """Gate math on pre-activations of shape (..., 4H), z = [x | h_prev] @ W.T.
 
-    Adds b to z in place. Returns the activations [i | f | g | o], c,
-    tanh(c) and h.
+    `z` and `a` come as `_gate_views` of the pre-activations and of the
+    array that receives the activations [i | f | g | o]. Adds b to z in
+    place and writes c, tanh(c) and h = o * tanh(c) into `c`, `tc` and `h`;
+    `e` and `ig` are scratch arrays shaped like z and c.
     """
-    H = c_prev.shape[-1]
+    (z, _, _, z_g, _), (a, i, f, g, o) = z, a
     z += b
     # one sigmoid pass over all four gates, then tanh over the g slice
-    a = sigmoid(z)
-    np.tanh(z[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
-    i, f, g, o = _split(a)
-    c = f * c_prev
-    c += i * g
-    tc = np.tanh(c)
-    return a, c, tc, o * tc
+    sigmoid(z, a, e)
+    np.tanh(z_g, out=g)
+    np.multiply(f, c_prev, out=c)
+    c += np.multiply(i, g, out=ig)
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
-def _split(a):
-    """Views [i, f, g, o] of the gate slices of (..., 4H) activations."""
+def _gate_views(a):
+    """(a, i, f, g, o): a (..., 4H) array and views of its gate slices."""
     H = a.shape[-1] // 4
-    return [a[..., k * H : (k + 1) * H] for k in range(4)]
+    return a, a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :]
 
 
 def lstm_cell_forward(x, h_prev, c_prev, W, b):
     """One step of one layer on a (B, D) batch. Returns (h, c, cache)."""
     xh = np.concatenate([x, h_prev], axis=1)
-    a, c, tc, h = _gates(xh @ W.T, b, c_prev)
-    return h, c, (xh, *_split(a), c_prev, tc)
+    z = xh @ W.T
+    a = _gate_views(np.empty_like(z))
+    c, h, ig, tc = (np.empty(c_prev.shape, dtype=z.dtype) for _ in range(4))
+    _gates(_gate_views(z), b, c_prev, a, c, h, np.empty_like(z), ig, tc)
+    return h, c, (xh, *a[1:], c_prev, tc)
 
 
 # multiply-adds one job must do before it goes to the second lane: at batch 1
@@ -188,6 +194,20 @@ def _layer_macs(B, D, H):
     return B * 4 * H * (H + min(D, H))
 
 
+def _diagonals(T, L, reverse=False):
+    """(d, lo, hi) of each diagonal d = t + l of a T-step, L-layer window,
+    in order or reversed: layers lo <= l < hi have a cell (d - l, l) on it."""
+    ds = range(T + L - 2, -1, -1) if reverse else range(T + L - 1)
+    return ((d, max(0, d - T + 1), min(L, d + 1)) for d in ds)
+
+
+def _xh_views(buf, D, H, L):
+    """Per layer l, its [x | h] columns of the window buffer: `views[l][d]`
+    is its operand on diagonal d, columns [0, D+H) for l = 0 and
+    [D+(l-1)H, D+(l+1)H) above."""
+    return [buf[:, :, D + (l - 1) * H if l else 0 : D + (l + 1) * H] for l in range(L)]
+
+
 def lstm_forward(buf, states, Ws, bs, cache=True):
     """Run a window through the stack in its (T+L, B, D+L*H) buffer `buf`.
 
@@ -195,51 +215,53 @@ def lstm_forward(buf, states, Ws, bs, cache=True):
     writes the (T, B, D) inputs into `buf[:T, :, :D]`. `states` is a list
     of (h, c) per layer and is not mutated. Returns the top-layer outputs
     (T, B, H), a view of `buf`, the final states (copies), and caches for
-    backward: `buf` and each diagonal's gate activations, c_prev and c
-    (`lstm_backward` recomputes tanh(c), bit for bit). With `cache=False`
-    they are None and each diagonal's activations are dropped once the next
-    has read them, which is all inference needs; results are unchanged.
+    backward: `buf`, the (T+L, L, B, H) cell states, indexed like the h's
+    of `buf` (row r, layer l holds c_l(r-l-1)), and the (T*L, B, 4H) gate
+    activations, one diagonal's stack after the other (`lstm_backward`
+    recomputes tanh(c), bit for bit). With `cache=False` they are None: the
+    cell states are then a two-row ring and the activations one diagonal's
+    scratch, which is all inference needs; results are unchanged.
 
     The (time, layer) grid is walked by diagonals d = t + l, whose cells
     do not depend on each other: after each layer's own `[x | h] @ W.T`
     (through `LANES`, which may run them on two threads), their gate math
     runs once on (n, B, 4H) stacks. Each element sees the operations of a
     step-by-step walk in the same order, so results are bit-identical to
-    it. All layers share one hidden size H. On diagonal d layer l's
-    `[x | h]` is one slice of row d (columns [0, D+H) for l = 0,
-    [D+(l-1)H, D+(l+1)H) above), and the diagonal's h stack is stored once,
-    in row d+1, as both the next step's and the next layer's input.
+    it. All layers share one hidden size H. The diagonal's h stack is
+    written once, into row d+1, as both the next step's and the next
+    layer's input. Views and scratch arrays are made once per window.
     """
     L, H = len(Ws), Ws[0].shape[0] // 4
     if any(W.shape[0] != 4 * H for W in Ws):
         raise ConfigError("all LSTM layers must share one hidden size")
     T, B, D = len(buf) - L, buf.shape[1], Ws[0].shape[1] - H
-    cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
-    macs = _layer_macs(B, D, H)
-    hs = buf[:, :, D:].reshape(T + L, B, L, H)  # hs[r, :, l] is h_l(r-l-1)
-    for l, (h, _) in enumerate(states):
-        hs[l, :, l] = h
+    dt, macs = buf.dtype, _layer_macs(B, D, H)
+    xh, WT = _xh_views(buf, D, H, L), [W.T for W in Ws]
+    hs = buf[:, :, D:].reshape(T + L, B, L, H).swapaxes(1, 2)  # hs[r, l] is h_l(r-l-1)
+    cs = np.empty((T + L if cache else 2, L, B, H), dtype=dt)  # cs[r % R, l] is c_l(r-l-1)
+    R = len(cs)
+    for l, (h, c) in enumerate(states):
+        hs[l, l] = h
+        cs[l % R, l] = c
     b = np.stack(bs)[:, None, :]
-    c0 = np.stack([s[1] for s in states])
-    c = c0[:0]  # the previous diagonal's c stack
-    diagonals, c_final = [], []
-    for d in range(T + L - 1):
-        lo, hi = max(0, d - T + 1), min(L, d + 1)
-        z = np.empty((hi - lo, B, 4 * H), dtype=buf.dtype)
-        gemms = [(buf[d, :, cols[l]], Ws[l].T, z[l - lo]) for l in range(lo, hi)]
-        LANES.run(np.matmul, gemms, macs)  # each writes its out=z[l - lo]
-        # the layer that reached t = T-1 drops out (d >= T); layer d starts (d < L)
-        c_prev = c[lo - max(0, d - T) :]
-        if d < L:
-            c_prev = np.concatenate((c_prev, c0[d : d + 1]))
-        a, c, tc, h = _gates(z, b[lo:hi], c_prev)
-        hs[d + 1, :, lo:hi] = h.swapaxes(0, 1)
+    acts = np.empty((T * L if cache else L, B, 4 * H), dtype=dt)
+    z, e = np.empty((2, L, B, 4 * H), dtype=dt)
+    ig, tc = np.empty((2, L, B, H), dtype=dt)
+    # an n-layer stack's scratch views and, without the cache, activations
+    stacks = {n: (_gate_views(z[:n]), e[:n], ig[:n], tc[:n], _gate_views(acts[:n]))
+              for n in range(1, L + 1)}
+    off = 0  # the diagonal's first row of `acts`
+    for d, lo, hi in _diagonals(T, L):
+        n = hi - lo
+        z_d, e_d, ig_d, tc_d, a_d = stacks[n]
+        LANES.run(np.matmul, [(xh[l][d], WT[l], z[l - lo]) for l in range(lo, hi)], macs)
         if cache:
-            diagonals.append((lo, a, c_prev, c))
-        if d >= T - 1:
-            c_final.append(c[0].copy())
-    finals = [(hs[T + l, :, l].copy(), cl) for l, cl in enumerate(c_final)]
-    return hs[L:, :, L - 1], finals, (buf, diagonals) if cache else None
+            a_d = _gate_views(acts[off : off + n])
+            off += n
+        _gates(z_d, b[lo:hi], cs[d % R, lo:hi], a_d, cs[(d + 1) % R, lo:hi],
+               hs[d + 1, lo:hi], e_d, ig_d, tc_d)
+    finals = [(hs[T + l, l].copy(), cs[(T + l) % R, l].copy()) for l in range(L)]
+    return hs[L:, L - 1], finals, (buf, cs, acts) if cache else None
 
 
 def lstm_backward(dH_top, caches, Ws):
@@ -251,52 +273,61 @@ def lstm_backward(dH_top, caches, Ws):
     diagonal are computed in one stack; each layer's GEMMs and writes then
     go through `LANES`. Returns (dX, dWs, dbs).
     """
-    buf, diagonals = caches
+    buf, cs, acts = caches
     T, B, H = dH_top.shape
     L, D = len(Ws), Ws[0].shape[1] - H
-    cols = [slice(D + (l - 1) * H if l else 0, D + (l + 1) * H) for l in range(L)]
+    dt, macs = dH_top.dtype, _layer_macs(B, D, H)
+    xh = _xh_views(buf, D, H, L)
     dWs = [np.zeros_like(W) for W in Ws]
-    dbs = [np.zeros(4 * H, dtype=dH_top.dtype) for _ in Ws]
-    zero = np.zeros((1, B, H), dtype=dH_top.dtype)
-    dh_next, d_above = [zero[0]] * L, [None] * L
-    dc_next = zero[:0]  # dc * f of the diagonal after this one
-    dX = np.empty((T, B, D), dtype=dH_top.dtype)
-    macs = _layer_macs(B, D, H)
+    dbs = [np.zeros(4 * H, dtype=dt) for _ in Ws]
+    dX = np.empty((T, B, D), dtype=dt)
+    # per layer, [dx | dh] and dc * f of its cell one step later; zero before
+    # its first, t = T-1
+    dxh = [np.zeros((B, W.shape[1]), dtype=dt) for W in Ws]
+    dh_next = [g[:, -H:] for g in dxh]
+    above = [g[:, :H] for g in dxh[1:]]  # dx of the layer above
+    dcf = np.zeros((L, B, H), dtype=dt)
+    dh, dc, tc, sq = np.empty((4, L, B, H), dtype=dt)
+    dz, one_minus_a = np.empty((2, L, B, 4 * H), dtype=dt)
+    db = np.empty((L, 4 * H), dtype=dt)
+    stacks = {n: (dh[:n], dc[:n], tc[:n], sq[:n], _gate_views(dz[:n]), one_minus_a[:n], db[:n])
+              for n in range(1, L + 1)}
 
     def layer(l, d, dz_l, db_l):
-        # the layers of one diagonal write disjoint arrays and list slots
-        dWs[l] += dz_l.T @ buf[d, :, cols[l]]
+        # the layers of one diagonal write disjoint arrays
+        dWs[l] += dz_l.T @ xh[l][d]
         dbs[l] += db_l
-        dxh = dz_l @ Ws[l]
-        dh_next[l] = dxh[:, -H:]
-        if l:
-            d_above[l - 1] = dxh[:, :-H]
-        else:
-            dX[d] = dxh[:, :-H]
+        np.matmul(dz_l, Ws[l], out=dxh[l])
+        if not l:
+            dX[d] = dxh[0][:, :D]
 
-    for d in range(T + L - 2, -1, -1):
-        lo, a, c_prev, c = diagonals[d]
-        hi = lo + len(a)
-        tc = np.tanh(c)
-        dh = np.empty((hi - lo, B, H), dtype=dH_top.dtype)
+    off = len(acts)
+    for d, lo, hi in _diagonals(T, L, reverse=True):
+        n = hi - lo
+        off -= n
+        dh_d, dc_d, tc_d, sq_d, (dz_d, dz_i, dz_f, dz_g, dz_o), oma, db_d = stacks[n]
+        a, i, f, g, o = _gate_views(acts[off : off + n])
+        c_prev = cs[d, lo:hi]
+        np.tanh(cs[d + 1, lo:hi], out=tc_d)
         for l in range(lo, hi):
-            above = dH_top[d - l] if l == L - 1 else d_above[l]
-            np.add(above, dh_next[l], out=dh[l - lo])
-        i, f, g, o = _split(a)
-        dc = dh * o
-        dc *= 1.0 - tc * tc
-        # layer lo starts its walk back from t = T-1 when d >= T-1
-        dc_in = dc_next[: hi - max(0, d + 2 - T)]
-        dc += np.concatenate((zero, dc_in)) if d >= T - 1 else dc_in
+            np.add(dH_top[d - l] if l == L - 1 else above[l], dh_next[l], out=dh[l - lo])
+        np.multiply(dh_d, o, out=dc_d)
+        np.multiply(tc_d, tc_d, out=sq_d)
+        dc_d *= np.subtract(1.0, sq_d, out=sq_d)
+        dc_d += dcf[lo:hi]
         # dz = [di*i*(1-i) | df*f*(1-f) | dg*(1-g*g) | do*o*(1-o)], in this order
-        dg = dc * i
-        dz = np.concatenate((dc * g, dc * c_prev, dg, dh * tc), axis=-1)
-        dg *= 1.0 - g * g
-        dz *= a
-        dz *= 1.0 - a
-        dz[..., 2 * H : 3 * H] = dg
-        db = dz.sum(axis=1)
-        dc_next = dc * f
+        np.multiply(dc_d, g, out=dz_i)
+        np.multiply(dc_d, c_prev, out=dz_f)
+        np.multiply(dc_d, i, out=dz_g)
+        np.multiply(dh_d, tc_d, out=dz_o)
+        np.multiply(g, g, out=sq_d)
+        np.subtract(1.0, sq_d, out=sq_d)
+        sq_d *= dz_g  # dg * (1 - g*g)
+        dz_d *= a
+        dz_d *= np.subtract(1.0, a, out=oma)
+        dz_g[...] = sq_d
+        dz_d.sum(axis=1, out=db_d)
+        np.multiply(dc_d, f, out=dcf[lo:hi])
         LANES.run(layer, [(l, d, dz[l - lo], db[l - lo]) for l in range(lo, hi)], macs)
     return dX, dWs, dbs
 
@@ -456,7 +487,7 @@ CKPT_ALIGN = 64
 
 def _aligned_empty(shape, dtype):
     """An uninitialized array whose data starts on a `CKPT_ALIGN` boundary."""
-    n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    n_bytes = math.prod(shape) * dtype.itemsize
     raw = np.empty(n_bytes + CKPT_ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % CKPT_ALIGN
     return raw[start : start + n_bytes].view(dtype).reshape(shape)
@@ -512,8 +543,15 @@ def load_checkpoint(path) -> tuple[dict, dict]:
                 raise TraceFormatError(
                     f"{path}: unsupported dtype {stored!r} at byte offset {offset}"
                 )
+            # checked before anything is allocated: a garbled dimension
+            # would otherwise ask for more memory than the file could hold
+            n_bytes = math.prod(shape) * dtype.itemsize
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if n_bytes > left:
+                raise TraceFormatError(f"{path}: tensor {name!r} of shape {shape} needs "
+                                       f"{n_bytes} bytes, {left} left in the file")
             arr = _aligned_empty(shape, dtype)
-            arr[...] = np.frombuffer(read_exact(f, arr.nbytes, path), dtype=dtype).reshape(shape)
+            arr[...] = np.frombuffer(read_exact(f, n_bytes, path), dtype=dtype).reshape(shape)
             arrays[name] = arr
     return arrays, meta
 

@@ -1,9 +1,11 @@
 import csv
 import functools
+import gc
 import json
 import os
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 import types
@@ -51,6 +53,13 @@ def test_load_config_merges_defaults(tmp_path):
     assert cfg["vocab"]["max_output"] == 50_000
     assert cfg["custom_key"] == 1
     assert load_config(path, seed=5)["seed"] == 5
+
+
+@pytest.mark.parametrize("text", ["", "null\n", "# nothing\n"])
+def test_empty_config_document_means_defaults(tmp_path, text):
+    path = tmp_path / "empty.yaml"
+    path.write_text(text)
+    assert load_config(path) == load_config(write_cfg(tmp_path, {}))
 
 
 def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
@@ -129,6 +138,10 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
         ("note: {1: x}\n", ("key note.1 must be a string",)),
         ("note: {a: {true: x}}\n", ("key note.a.True must be a string",)),
         ("note: [a, {b: 1, 2: x}]\n", ("key note[1].2 must be a string",)),
+        ("0\n", ("config must be a mapping",)),
+        ("false\n", ("config must be a mapping",)),
+        ("[]\n", ("config must be a mapping",)),
+        ("''\n", ("config must be a mapping",)),
     ],
     ids=["malformed_yaml", "section_not_a_mapping", "unknown_key", "removed_key",
          "k_zero", "k_bool", "hidden_zero", "embed_negative", "layers_float", "dtype_int8",
@@ -143,7 +156,8 @@ def test_load_config_same_with_either_yaml_loader(tmp_path, monkeypatch):
          "cache_emit_level_float", "trace_pc_negative", "trace_pc_too_large",
          "trace_pcs_negative", "trace_kind_list", "top_level_date", "top_level_bytes",
          "top_level_nan", "top_level_int_key", "nested_int_key", "nested_bool_key",
-         "key_in_list"],
+         "key_in_list", "document_zero", "document_false", "document_empty_list",
+         "document_empty_string"],
 )
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     path = tmp_path / "bad.yaml"
@@ -154,6 +168,20 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     for name in (str(path),) + names:
         assert name in lines[0]
     assert not (tmp_path / "run").exists()
+
+
+def test_main_freezes_the_heap_at_exit_only_when_it_owns_the_process(tmp_path, monkeypatch):
+    """`main()` with no argv, as the console script calls it, registers
+    gc.freeze to run at exit; a caller that passes argv keeps the normal
+    finalization of its objects."""
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    missing = str(tmp_path / "missing.yaml")
+    assert main(["simulate", "--config", missing]) == 1
+    assert registered == []
+    monkeypatch.setattr(sys, "argv", ["prefetchlab", "simulate", "--config", missing])
+    assert main() == 1
+    assert registered == [gc.freeze]
 
 
 def fake_libc(*results):
@@ -332,19 +360,19 @@ def test_training_is_deterministic_at_each_blas_thread_count(tmp_path, blas_thre
 
 # Runs one stage in a fresh interpreter and reports its exit code and which
 # of these modules it left loaded: OpenSSL's _hashlib (as a module: the
-# stage's block of it is a None entry), numpy.ma, numpy.random and the
-# model code.
+# stage's block of it is a None entry), numpy.ma, numpy.random, the model
+# code and fractions (with decimal, which it imports).
 STAGE_PROBE = """
 import json, sys
 from prefetchlab.cli import main
 code = main(sys.argv[1:])
 names = ("_hashlib", "numpy.ma", "numpy.random", "prefetchlab.baselines",
-         "prefetchlab.clustering", "prefetchlab.lstm", "prefetchlab.models")
+         "prefetchlab.clustering", "prefetchlab.lstm", "prefetchlab.models", "fractions")
 print(json.dumps([code, [m for m in names if sys.modules.get(m) is not None]]))
 """
 MODEL_CODE = ["prefetchlab.clustering", "prefetchlab.lstm", "prefetchlab.models"]
-TRAIN_LOADS = ["numpy.random", *MODEL_CODE]
-EVAL_LOADS = ["prefetchlab.baselines", *MODEL_CODE]
+TRAIN_LOADS = ["numpy.random", *MODEL_CODE, "fractions"]
+EVAL_LOADS = ["prefetchlab.baselines", *MODEL_CODE, "fractions"]
 
 
 def sys_modules_changes(before):
@@ -355,9 +383,10 @@ def sys_modules_changes(before):
 
 
 @pytest.mark.parametrize("cfg,fresh,in_process", [
-    (STRIDE_CFG, {"simulate": [], "vocab": [], "train": TRAIN_LOADS, "eval": EVAL_LOADS,
-                  "report": []}, ("train", "report")),
-    (REGION_CFG, {"simulate": [], "cluster": ["numpy.random", "prefetchlab.clustering"],
+    (STRIDE_CFG, {"simulate": [], "vocab": ["fractions"], "train": TRAIN_LOADS,
+                  "eval": EVAL_LOADS, "report": []}, ("train", "report")),
+    (REGION_CFG, {"simulate": [], "cluster": ["numpy.random", "prefetchlab.clustering",
+                                              "fractions"],
                   "train": TRAIN_LOADS, "eval": EVAL_LOADS, "report": []}, ("train", "report")),
 ])
 def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in_process):
@@ -365,8 +394,9 @@ def test_scoring_stages_load_no_openssl_or_numpy_random(tmp_path, cfg, fresh, in
     stage loads OpenSSL, only cluster (k-means++ seeding) and train (weight
     init) import numpy.random, the model code is imported only by the
     stages that run it, and none imports numpy.ma (np.unique without counts
-    does). Run again in this process, `in_process` stages leave sys.modules
-    as they found it."""
+    does), and only the stages that split the stream import fractions. Run
+    again in this process, `in_process` stages leave sys.modules as they
+    found it."""
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "run"
     for stage, loads in fresh.items():
@@ -490,6 +520,15 @@ def tampered_clusters(data: bytes, k: int, case: str) -> bytes:
     return data[:header] + values.tobytes()
 
 
+def garbled_first_dimension(data, dim):
+    """A checkpoint's bytes with the first dimension of its first tensor set to `dim`."""
+    (meta_len,) = struct.unpack_from("<I", data, len(lstm.CKPT_MAGIC) + 4)
+    at = len(lstm.CKPT_MAGIC) + 8 + meta_len + 4  # the first tensor's name length
+    (name_len,) = struct.unpack_from("<H", data, at)
+    at += 2 + name_len + 1  # past the name and ndim
+    return data[:at] + struct.pack("<Q", dim) + data[at + 8:]
+
+
 @pytest.mark.parametrize(
     "cfg,stages,artifacts",
     [
@@ -510,6 +549,8 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
         if artifact == "model.bin":
             at = data.index(b"<f8")  # the first stored dtype, its kind garbled
             damaged.append(("dtype <Z8", data[:at + 1] + b"Z" + data[at + 2:]))
+            damaged += [(f"first dimension 2^{bits}", garbled_first_dimension(data, 1 << bits))
+                        for bits in (36, 60)]
         if artifact == "clusters.bin":  # whole, but a flag or value out of range
             damaged += [(case, tampered_clusters(data, cfg["cluster"]["k"], case)) for case in
                         ("nan_std", "zero_std", "negative_std", "inf_centroid", "has_norms_0")]

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -405,7 +406,7 @@ def test_diagonal_schedule_bit_equal_to_step_by_step(dtype, L, B, T):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("L", [1, 2, 3])
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("T", [2, 9])
+@pytest.mark.parametrize("T", [1, 2, 9])
 def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
     rng = np.random.default_rng(L * 100 + B * 10 + T)
     D, H = 5, 24
@@ -416,18 +417,43 @@ def test_uncached_forward_bit_equal_and_keeps_no_records(dtype, L, B, T):
                (rng.normal(size=(B, H)) * 2).astype(dtype)) for _ in Ws]
     out, finals, caches = window_forward(X, states, Ws, bs, cache=False)
     out_ref, finals_ref, caches_ref = window_forward(X, states, Ws, bs)
-    assert caches is None and len(caches_ref[1]) == T + L - 1
+    assert caches is None and caches_ref is not None
     assert_bit_equal(out, out_ref)
     for got, ref in zip(finals, finals_ref):
         assert_bit_equal(got[0], ref[0])
         assert_bit_equal(got[1], ref[1])
 
 
+def test_uncached_forward_peak_is_a_few_diagonals():
+    """An uncached 512-step window at eval's cluster shape (B = 3, H = 64,
+    two layers) allocates, beyond its window buffer, less than eight
+    diagonals' activations and cell states (its scratch arrays and views
+    take ~5.6): no per-window record of activations, cell states or
+    diagonals is kept."""
+    T, B, D, H, L = 512, 3, 4, 64, 2
+    dtype = np.float32
+    rng = np.random.default_rng(8)
+    Ws = [lstm_layer_init(D if l == 0 else H, H, rng, dtype)[0] for l in range(L)]
+    bs = [np.zeros(4 * H, dtype=dtype) for _ in Ws]
+    states = zero_states(L, B, H, dtype)
+    buf = np.empty((T + L, B, D + L * H), dtype=dtype)
+    buf[:T, :, :D] = rng.normal(size=(T, B, D))
+    tracemalloc.start()
+    try:
+        lstm_forward(buf, states, Ws, bs, cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    diagonal = L * B * (4 * H + H) * np.dtype(dtype).itemsize
+    assert peak < 8 * diagonal
+
+
 def test_training_cache_keeps_c_not_tanh_c():
-    """The backward caches hold the window buffer, each diagonal's gate
-    activations and cell stacks, and nothing else: each h is stored once,
-    in the buffer, and tanh(c) is recomputed in backward, where a cached
-    copy would cost another T*L*B*H floats."""
+    """The backward caches are the window buffer, the cell states and the
+    gate activations, and nothing else: each h is stored once, in the
+    buffer, each c once (with one row per layer of initial and unused
+    slots), and tanh(c) is recomputed in backward, where a cached copy
+    would cost another T*L*B*H floats."""
     T = B = 64
     D, H, L = 256, 128, 2
     dtype = np.float32
@@ -436,19 +462,18 @@ def test_training_cache_keeps_c_not_tanh_c():
     bs = [np.zeros(4 * H, dtype=dtype) for _ in Ws]
     X = rng.normal(size=(T, B, D)).astype(dtype)
     _, _, caches = window_forward(X, zero_states(L, B, H, dtype), Ws, bs)
+    buf, cs, acts = caches
     buffers = {}
-    buf, diagonals = caches
-    for arr in [buf, *(a for _, *arrays in diagonals for a in arrays)]:
+    for arr in caches:
         while arr.base is not None:
             arr = arr.base
         buffers[id(arr)] = arr
     item = np.dtype(dtype).itemsize
     buf_bytes = (T + L) * B * (D + L * H) * item
+    c_bytes = (T + L) * L * B * H * item
     a_bytes = T * L * B * 4 * H * item
-    c_bytes = T * L * B * H * item
-    # diagonal d < L prepends layer d's initial c to the previous c stack
-    c_prev_bytes = sum(range(1, L + 1)) * B * H * item
-    assert sum(a.nbytes for a in buffers.values()) == buf_bytes + a_bytes + c_bytes + c_prev_bytes
+    assert (buf.nbytes, cs.nbytes, acts.nbytes) == (buf_bytes, c_bytes, a_bytes)
+    assert sum(a.nbytes for a in buffers.values()) == buf_bytes + c_bytes + a_bytes
 
 
 def test_forward_rejects_mixed_hidden_sizes():

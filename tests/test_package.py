@@ -40,6 +40,12 @@ def test_importing_cli_loads_no_model_code():
     assert loaded_after_import("prefetchlab.cli", names) == "[]"
 
 
+def test_importing_cli_loads_no_fractions():
+    """`fractions` and `decimal` (~4 ms) are imported when a stage first
+    splits a stream, not with the CLI."""
+    assert loaded_after_import("prefetchlab.cli", ("decimal", "fractions")) == "[]"
+
+
 def test_no_assert_statements_in_package():
     """`python -O` strips asserts, so invariants must raise real exceptions."""
     found = [
