@@ -33,13 +33,13 @@ model = models.EmbeddingPrefetcher(
     dtype=np.float32, seed=3,
 )
 dataset = models.embedding_dataset(misses, v, pv)
-train = {k: a[dataset["target_index"] < n_train] for k, a in dataset.items()}
-batches = models.batchify(train, 64)
+# the events before the split, cut into 64 rows trained side by side
+batches = model.training_batches(dataset, n_train, batch=64)
 
 cfg = models.TrainConfig(steps=1200, window=64, optimizer="adam")
 history = models.train_model(model, batches, cfg)
 for entry in history[:: len(history) // 8]:
     print(f"  step {entry['step']:5d}  loss {entry['loss']:.3f}")
 
-sets = models.embedding_prediction_sets(model, dataset, v, n_train, k=10)
+sets = model.prediction_sets(dataset, v, n_train, k=10)
 print("held-out metrics:", metrics_summary(sets))

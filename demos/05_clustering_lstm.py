@@ -33,12 +33,14 @@ model = models.ClusterPrefetcher(
     hidden=64, layers=2, dtype=np.float32, seed=4,
 )
 dataset = models.cluster_dataset(per_cluster, vocabs, norms, model)
-batches = dict(dataset)
-batches["label"] = np.where(dataset["target_index"] < n_train, dataset["label"], -1)
+# one row per cluster; positions past the split carry no label
+batches = model.training_batches(dataset, n_train, batch=model.k)
 
 cfg = models.TrainConfig(steps=600, window=64, optimizer="adagrad")
 history = models.train_model(model, batches, cfg)
-print("final loss:", round(history[-1]["loss"], 4))
+# a window wholly past the split has no label, and its loss reads 0
+labelled = [entry["loss"] for entry in history if entry["n_labelled"]]
+print("final loss:", round(labelled[-1], 4), f"({len(history) - len(labelled)} steps saw no label)")
 
-sets = models.cluster_prediction_sets(model, dataset, vocabs, n_train, k=10)
+sets = model.prediction_sets(dataset, vocabs, n_train, k=10)
 print("held-out metrics:", metrics_summary(sets))

@@ -197,14 +197,6 @@ class GhbPcDc:
         self._index: OrderedDict[int, _PcHistory] = OrderedDict()
         self._seq = 0
 
-    def _chain_lines(self, pc: int) -> list[int]:
-        """This PC's miss lines still in the buffer, most recent first."""
-        hist = self._index.get(pc)
-        if hist is None:
-            return []
-        first = bisect_left(hist.seqs, self._seq - self.buffer_size, hist.start)
-        return hist.lines[first:][::-1]
-
     def observe(self, pc: int, line: int) -> tuple[int, ...]:
         seq = self._seq
         self._seq = seq + 1

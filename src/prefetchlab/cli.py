@@ -9,9 +9,11 @@ its artifacts there, so a full run is a sequence of idempotent stages:
     prefetchlab eval     --config run.yaml --out run/
     prefetchlab report   --config run.yaml --out run/
 
-Exit codes: 0 on success, 1 on runtime errors (bad data, missing
-artifacts), 2 on usage errors. Runs are deterministic for a fixed config
-and seed; reports are byte-identical across repeat runs.
+Exit codes: 0 on success, 1 with one `error:` line on a bad config or
+artifact (`PrefetchlabError`) or a failed file operation (`OSError`), 2 on
+usage errors; any other exception is a bug and ends in a traceback. Runs
+are deterministic for a fixed config and seed; reports are byte-identical
+across repeat runs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import yaml
 
 from . import eval as evaluation, trace, vocab as vocab_mod
 from .cachesim import CacheLevelConfig, HierarchyConfig, default_broadwell_config, simulate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PrefetchlabError
 
 TRACE_FILE = "trace.bin"
 MISSES_FILE = "misses.bin"
@@ -112,7 +114,7 @@ def load_config(path, seed: int | None = None) -> dict:
     with open(path) as f:
         try:
             cfg = yaml.load(f, Loader=YAML_LOADER)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: invalid YAML: {' '.join(str(e).split())}") from None
     if cfg is None:  # an empty document: every default
         cfg = {}
@@ -407,20 +409,17 @@ def run_train(cfg: dict, out_dir: str) -> dict:
         steps=t["steps"], window=t["window"], optimizer=t["optimizer"], lr=t["lr"], clip=t["clip"]
     )
     model, dataset, _ = prepare(cfg, out_dir, misses, n_train, cfg["seed"])
-    in_train = dataset["target_index"] < n_train
     # only what training reads: the other columns are freed before it runs
-    batches = {key: dataset[key] for key in (*model.input_keys, "label")}
+    batches = model.training_batches(dataset, n_train, t["batch"])
     del dataset
-    if cfg["model"]["type"] == "embedding":
-        batches = models.batchify({key: a[in_train] for key, a in batches.items()}, t["batch"])
-    else:  # one row per cluster; positions past the split carry no label
-        batches["label"] = np.where(in_train, batches["label"], -1)
 
     history = models.train_model(model, batches, tcfg)
     meta = {"config_hash": evaluation.config_hash(cfg), "n_train": n_train}
     models.save_model(model, os.path.join(out_dir, MODEL_FILE), meta)
-    final = history[-1]["loss"] if history else None
-    return {"steps": len(history), "final_loss": final}
+    # a step past every row's split sees no label and reports loss 0
+    labelled = [entry["loss"] for entry in history if entry["n_labelled"]]
+    return {"steps": len(history), "final_loss": labelled[-1] if labelled else None,
+            "unlabelled_steps": len(history) - len(labelled)}
 
 
 def run_eval(cfg: dict, out_dir: str) -> dict:
@@ -428,15 +427,11 @@ def run_eval(cfg: dict, out_dir: str) -> dict:
     are freed once scored, and the model and its dataset (their heap pages
     given back) before the baselines run, so eval holds one method's sets
     at a time."""
-    from . import baselines, models
+    from . import baselines
     keep_heap()
     misses, n_train, model, dataset, vocabs = _trained(cfg, out_dir)
     k = cfg["eval"]["k"]
-    if cfg["model"]["type"] == "embedding":
-        prediction_sets = models.embedding_prediction_sets
-    else:
-        prediction_sets = models.cluster_prediction_sets
-    sets = prediction_sets(model, dataset, vocabs, n_train, k)
+    sets = model.prediction_sets(dataset, vocabs, n_train, k)
     metrics = {"model": evaluation.metrics_summary(sets, k)}
     del sets, model, dataset, vocabs
     release_heap()
@@ -457,9 +452,15 @@ def run_report(cfg: dict, out_dir: str) -> dict:
     misses = _load_misses(cfg, out_dir)
     deltas = vocab_mod.compute_deltas(misses.line)
     coverage = vocab_mod.coverage_stats(misses, deltas)
-    metrics = evaluation.read_report(_require(out_dir, METRICS_FILE))
+    metrics_path = _require(out_dir, METRICS_FILE)
+    metrics = evaluation.read_report(metrics_path)
     sim_stats = evaluation.read_report(_require(out_dir, SIM_STATS_FILE))
-    precisions = [m["precision_at_k"] for m in metrics["metrics"].values()]
+    methods = metrics.get("metrics")
+    if not isinstance(methods, dict) or not all(isinstance(m, dict) for m in methods.values()):
+        raise DataError(f"{metrics_path}: metrics must map each method to a mapping")
+    precisions = [m.get("precision_at_k") for m in methods.values()]
+    if not all((_int(p) or isinstance(p, float)) and 0 <= p <= 1 for p in precisions):
+        raise DataError(f"{metrics_path}: each method's precision_at_k must be a number in [0, 1]")
     payload = {
         "config": cfg,
         "config_hash": evaluation.config_hash(cfg),
@@ -544,7 +545,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         result = _STAGES[args.command](cfg, args.out)
-    except (ValueError, OSError, KeyError) as e:
+    except (PrefetchlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     finally:  # callers of main() in the same process keep OpenSSL

@@ -4,15 +4,19 @@ through which the binary artifact loaders report truncation."""
 import os
 
 
-class ConfigError(ValueError):
+class PrefetchlabError(ValueError):
+    """A bad config or artifact: the CLI reports it as one `error:` line."""
+
+
+class ConfigError(PrefetchlabError):
     """Invalid configuration or generator parameters."""
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(PrefetchlabError):
     """File does not carry the expected magic/header, or is truncated."""
 
 
-class DataError(ValueError):
+class DataError(PrefetchlabError):
     """Input data violates an operation precondition (e.g. too short)."""
 
 

@@ -120,5 +120,13 @@ def write_report(path, payload: dict) -> None:
 
 
 def read_report(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
+    """The plain JSON object in `path`; DataError naming the file otherwise."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            payload = json.load(f)
+            canonical_json(payload)  # NaN and inf, which json.load takes, raise ValueError
+        except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
+            raise DataError(f"{path}: not a JSON report: {e}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: top level must be a JSON object")
+    return payload

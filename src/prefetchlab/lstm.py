@@ -80,16 +80,6 @@ def _gate_views(a):
     return a, a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :]
 
 
-def lstm_cell_forward(x, h_prev, c_prev, W, b):
-    """One step of one layer on a (B, D) batch. Returns (h, c, cache)."""
-    xh = np.concatenate([x, h_prev], axis=1)
-    z = xh @ W.T
-    a = _gate_views(np.empty_like(z))
-    c, h, ig, tc = (np.empty(c_prev.shape, dtype=z.dtype) for _ in range(4))
-    _gates(_gate_views(z), b, c_prev, a, c, h, np.empty_like(z), ig, tc)
-    return h, c, (xh, *a[1:], c_prev, tc)
-
-
 # multiply-adds one job must do before it goes to the second lane: at batch 1
 # the hand-off between threads costs more than the GEMV it moves
 LANE_MIN_MACS = 1 << 20
@@ -520,6 +510,14 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
             f.write(data.tobytes())
 
 
+def _decoded(data: bytes, path, what: str, parse=str):
+    """`parse(data.decode())`; TraceFormatError naming `path` if it raises ValueError."""
+    try:
+        return parse(data.decode())
+    except ValueError as e:
+        raise TraceFormatError(f"{path}: {what} does not decode: {e}") from None
+
+
 def load_checkpoint(path) -> tuple[dict, dict]:
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
@@ -527,12 +525,12 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         version, meta_len = struct.unpack("<II", read_exact(f, 8, path))
         if version != CKPT_VERSION:
             raise TraceFormatError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(read_exact(f, meta_len, path).decode())
+        meta = _decoded(read_exact(f, meta_len, path), path, "metadata", json.loads)
         (count,) = struct.unpack("<I", read_exact(f, 4, path))
         arrays = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read_exact(f, 2, path))
-            name = read_exact(f, nlen, path).decode()
+            name = _decoded(read_exact(f, nlen, path), path, "a tensor name")
             (ndim,) = struct.unpack("<B", read_exact(f, 1, path))
             shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path)) if ndim else ()
             (dlen,) = struct.unpack("<H", read_exact(f, 2, path))

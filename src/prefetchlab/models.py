@@ -72,7 +72,13 @@ class _LstmPrefetcher:
     RNG draws and parameter order follow that order (a `seed` of None draws
     nothing and leaves zeros for `load_weights` to fill). Only training
     keeps the LSTM's backward caches; other forwards run with `cache=False`.
+    Each subclass also builds its own `training_batches` and `prediction_sets`.
     """
+
+    def __init__(self, meta: dict, hidden: int, layers: int, dtype):
+        self.hidden, self.layers, self.dtype = hidden, layers, np.dtype(dtype)
+        # the constructor arguments, the record that save_model writes
+        self.meta = {**meta, "hidden": hidden, "layers": layers, "dtype": self.dtype.name}
 
     def _init_core(self, params: dict, rng, input_dim: int, n_classes: int) -> None:
         dim = input_dim
@@ -158,14 +164,10 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
                  seed: int | None = 0):
         if modality not in ("both", "delta_only", "pc_only"):
             raise ConfigError(f"unknown modality {modality!r}")
-        self.n_delta_inputs = n_delta_inputs
-        self.n_pcs = n_pcs
+        super().__init__({"kind": "embedding", "n_delta_inputs": n_delta_inputs, "n_pcs": n_pcs,
+                          "n_outputs": n_outputs, "embed": embed, "modality": modality},
+                         hidden, layers, dtype)
         self.n_outputs = n_outputs
-        self.hidden = hidden
-        self.layers = layers
-        self.modality = modality
-        self.dtype = np.dtype(dtype)
-
         e_pc, e_delta = {
             "both": (embed, embed),
             "pc_only": (2 * embed, 0),
@@ -185,6 +187,14 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
     @property
     def oov_output(self) -> int:
         return self.n_outputs
+
+    def training_batches(self, dataset: dict, n_train: int, batch: int) -> dict:
+        """The events whose target miss is before `n_train`, in `batch` rows."""
+        in_train = dataset["target_index"] < n_train
+        return batchify({key: dataset[key][in_train] for key in (*self.input_keys, "label")}, batch)
+
+    def prediction_sets(self, dataset: dict, vocab: DeltaVocab, test_start: int, k: int):
+        return embedding_prediction_sets(self, dataset, vocab, test_start, k)
 
     def _inputs(self, x, pc_ids, delta_ids):
         if self.e_pc:
@@ -229,11 +239,9 @@ class ClusterPrefetcher(_LstmPrefetcher):
                  dtype=np.float64, seed: int | None = 0):
         if not vocab_sizes:
             raise ConfigError("need at least one cluster")
-        self.k = len(vocab_sizes)
-        self.vocab_sizes = list(vocab_sizes)
-        self.hidden = hidden
-        self.layers = layers
-        self.dtype = np.dtype(dtype)
+        self.k, self.vocab_sizes = len(vocab_sizes), list(vocab_sizes)
+        super().__init__({"kind": "cluster", "vocab_sizes": self.vocab_sizes},
+                         hidden, layers, dtype)
         self.head_size = max(vocab_sizes) + 1
         rng = None if seed is None else np.random.default_rng(seed)
         self._init_core({}, rng, 1 + self.k, self.head_size)
@@ -254,6 +262,15 @@ class ClusterPrefetcher(_LstmPrefetcher):
     def shared_label(self, output_ids, cluster: int):
         """Map per-cluster vocab output ids into the shared head."""
         return np.where(output_ids < self.vocab_sizes[cluster], output_ids, self.oov_label)
+
+    def training_batches(self, dataset: dict, n_train: int, batch: int) -> dict:
+        """One row per cluster (`batch` is unused); targets from `n_train` on carry no label."""
+        batches = {key: dataset[key] for key in self.input_keys}
+        batches["label"] = np.where(dataset["target_index"] < n_train, dataset["label"], -1)
+        return batches
+
+    def prediction_sets(self, dataset: dict, vocabs: list, test_start: int, k: int):
+        return cluster_prediction_sets(self, dataset, vocabs, test_start, k)
 
     def _inputs(self, x, norm_delta, cluster_ids):
         x[..., 0] = norm_delta
@@ -395,7 +412,8 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
     Windows advance along columns with recurrent state carried between
     them; state resets when the data wraps. `callback(step, model)` runs
     every `eval_every` steps and stops training by returning True.
-    Returns per-step history entries {step, loss, grad_norm}. Raises
+    Returns per-step history entries {step, loss, grad_norm, n_labelled};
+    a step with no labelled position has loss 0 and still moves Adam. Raises
     DataError at the first non-finite loss, before it reaches the weights.
     """
     rows, cols = batches["label"].shape
@@ -424,7 +442,8 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
         # freed now, not when the next step rebinds them after its head, where
         # memory peaks
         del grads
-        history.append({"step": step, "loss": loss, "grad_norm": norm})
+        history.append({"step": step, "loss": loss, "grad_norm": norm,
+                        "n_labelled": int(np.count_nonzero(labels >= 0))})
         pos += window
         if callback is not None and cfg.eval_every and step % cfg.eval_every == 0:
             if callback(step, model):
@@ -438,35 +457,10 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
 
 
 def save_model(model, path, extra_meta: dict | None = None) -> None:
-    """Write parameters plus metadata describing the model's shape."""
+    """Write parameters plus the model's `meta` record, `extra_meta` merged over it."""
     from .lstm import save_checkpoint
 
-    if isinstance(model, EmbeddingPrefetcher):
-        base = model.e_pc if model.modality == "both" else max(model.e_pc, model.e_delta) // 2
-        meta = {
-            "kind": "embedding",
-            "n_delta_inputs": model.n_delta_inputs,
-            "n_pcs": model.n_pcs,
-            "n_outputs": model.n_outputs,
-            "hidden": model.hidden,
-            "embed": base,
-            "layers": model.layers,
-            "modality": model.modality,
-            "dtype": model.dtype.name,
-        }
-    elif isinstance(model, ClusterPrefetcher):
-        meta = {
-            "kind": "cluster",
-            "vocab_sizes": model.vocab_sizes,
-            "hidden": model.hidden,
-            "layers": model.layers,
-            "dtype": model.dtype.name,
-        }
-    else:
-        raise ConfigError(f"cannot checkpoint {type(model).__name__}")
-    if extra_meta:
-        meta.update(extra_meta)
-    save_checkpoint(path, model.params, meta)
+    save_checkpoint(path, model.params, {**model.meta, **(extra_meta or {})})
 
 
 def load_weights(model, path) -> dict:

@@ -1,5 +1,6 @@
 """Reference computations the tests check the package against: central
-finite-difference gradients and the scalar 64-bit line delta."""
+finite-difference gradients and the scalar 64-bit line delta; and the
+package's LSTM forward on a single cell, in the form the cell oracles take."""
 
 from __future__ import annotations
 
@@ -8,6 +9,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+def one_cell_forward(x, h_prev, c_prev, W, b):
+    """`lstm_forward` of one layer on a one-step window of the (B, D) input
+    `x`. Returns (h, c, (xh, i, f, g, o, c_prev)): the [x | h_prev] operand
+    and gate activations are read from its caches."""
+    from prefetchlab.lstm import lstm_forward
+
+    B, D = x.shape
+    buf = np.empty((2, B, D + h_prev.shape[1]), dtype=W.dtype)
+    buf[0, :, :D] = x
+    _, ((h, c),), (buf, cs, acts) = lstm_forward(buf, [(h_prev, c_prev)], [W], [b])
+    return h, c, (buf[0], *np.split(acts[0], 4, axis=-1), cs[0, 0])
 
 
 def signed_delta(line_a: int, line_b: int) -> int:

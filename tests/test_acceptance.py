@@ -13,9 +13,9 @@ import pytest
 
 from prefetchlab import baselines, cachesim, clustering, models, trace, vocab as vocab_mod
 from prefetchlab.eval import precision_at_k, recall_at_k, split_index
-from prefetchlab.lstm import lstm_cell_forward, lstm_layer_init
+from prefetchlab.lstm import lstm_layer_init
 
-from oracles import finite_difference_grads, relative_grad_error
+from oracles import finite_difference_grads, one_cell_forward, relative_grad_error
 
 BROADWELL = cachesim.default_broadwell_config()
 
@@ -108,7 +108,7 @@ def test_02_cell_matches_scalar_oracle():
         x = rng.normal(size=D)
         h_prev = rng.normal(size=H)
         c_prev = rng.normal(size=H)
-        h, c, _ = lstm_cell_forward(
+        h, c, _ = one_cell_forward(
             x.reshape(1, -1), h_prev.reshape(1, -1), c_prev.reshape(1, -1), W, b
         )
         h_ref, c_ref = scalar_cell(x, h_prev, c_prev, W.tolist(), b.tolist())
@@ -266,7 +266,6 @@ def table_data():
         "vocab": v,
         "pc_vocab": pv,
         "dataset": dataset,
-        "batches": models.batchify(train, 64),
         # validation slab: the last 4,096 training events in 64 rows; rows
         # start cold, so the first 32 columns are burn-in and only the
         # back half is scored (the model may legitimately lean on state)
@@ -298,13 +297,14 @@ def _train_table_model(table_data, modality, steps, stop_at=None):
         callback = lambda step, m: _val_precision(m, val) >= stop_at
     cfg = models.TrainConfig(steps=steps, window=64, optimizer="adam", lr=1e-3,
                              eval_every=200)
-    history = models.train_model(model, table_data["batches"], cfg, callback=callback)
+    batches = model.training_batches(table_data["dataset"], table_data["n_train"], 64)
+    history = models.train_model(model, batches, cfg, callback=callback)
     return model, history
 
 
 def _table_metrics(model, table_data):
-    sets = models.embedding_prediction_sets(
-        model, table_data["dataset"], table_data["vocab"], table_data["n_train"], 10
+    sets = model.prediction_sets(
+        table_data["dataset"], table_data["vocab"], table_data["n_train"], 10
     )
     return precision_at_k(sets), recall_at_k(sets)
 
@@ -379,10 +379,9 @@ def test_07_clustering_recall_advantage():
         hidden=64, embed=32, layers=2, modality="both", dtype=np.float32, seed=5,
     )
     ds = models.embedding_dataset(misses, v, pv)
-    train = {key: a[ds["target_index"] < n_train] for key, a in ds.items()}
-    models.train_model(emb, models.batchify(train, 64),
+    models.train_model(emb, emb.training_batches(ds, n_train, 64),
                        models.TrainConfig(steps=400, window=64))
-    emb_recall = recall_at_k(models.embedding_prediction_sets(emb, ds, v, n_train, 10))
+    emb_recall = recall_at_k(emb.prediction_sets(ds, v, n_train, 10))
 
     # clustering model: k-means regions, per-cluster vocabs, tied weights
     km = clustering.kmeans_fit(misses.line[:n_train], k=3, seed=5)
@@ -394,11 +393,9 @@ def test_07_clustering_recall_advantage():
         hidden=64, layers=2, dtype=np.float32, seed=5,
     )
     cds = models.cluster_dataset(per_cluster, vocabs, norms, cm)
-    cb = dict(cds)
-    cb["label"] = np.where(cds["target_index"] < n_train, cds["label"], -1)
-    models.train_model(cm, cb, models.TrainConfig(steps=400, window=64,
-                                                  optimizer="adagrad"))
-    cl_recall = recall_at_k(models.cluster_prediction_sets(cm, cds, vocabs, n_train, 10))
+    models.train_model(cm, cm.training_batches(cds, n_train, 64),
+                       models.TrainConfig(steps=400, window=64, optimizer="adagrad"))
+    cl_recall = recall_at_k(cm.prediction_sets(cds, vocabs, n_train, 10))
 
     report(
         "criterion 7 (clustering recall advantage)",

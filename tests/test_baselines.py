@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from collections import OrderedDict, namedtuple
 
 import numpy as np
@@ -18,6 +19,16 @@ def misses_from_lines(lines, pcs=None):
     lines = np.array(lines, dtype=np.uint64)
     pcs = np.array(pcs or [0x400000] * len(lines), dtype=np.uint64)
     return MissStream(pc=pcs, addr=lines << np.uint64(6), line=lines)
+
+
+def chain_lines(pf, pc):
+    """PC `pc`'s miss lines still in GhbPcDc `pf`'s buffer, most recent
+    first: the lines that walking its chain through the buffer visits."""
+    hist = pf._index.get(pc)
+    if hist is None:
+        return []
+    first = bisect_left(hist.seqs, pf._seq - pf.buffer_size, hist.start)
+    return hist.lines[first:][::-1]
 
 
 def rows(p):
@@ -182,7 +193,7 @@ def test_ghb_buffer_overwrite_breaks_stale_chains():
     # another PC floods the 4-entry buffer
     for i in range(8):
         pf.observe(9, 10_000 + i * 50)
-    assert pf._chain_lines(5) == []  # PC 5's history is gone
+    assert chain_lines(pf, 5) == []  # PC 5's history is gone
     assert pf.observe(5, 12) == ()
 
 
@@ -299,7 +310,7 @@ def test_ghb_equals_chain_walk_on_random_streams():
             if i % 50 == 0:
                 assert list(pf._index) == list(ref._index)
                 for q in range(n_pcs):
-                    assert pf._chain_lines(q) == ref._chain_lines(q)
+                    assert chain_lines(pf, q) == ref._chain_lines(q)
     assert predicted > 10_000  # the streams exercise the replay path
 
 
@@ -316,7 +327,7 @@ def test_ghb_history_bounded_by_buffer_size():
     for i in range(10 * 16):
         pf.observe(7, (i * 3) % 11)
         assert len(pf._index[7].lines) <= 2 * 16 + 1
-    assert len(pf._chain_lines(7)) == 16
+    assert len(chain_lines(pf, 7)) == 16
 
 
 def test_ghb_rejects_degree_below_one():

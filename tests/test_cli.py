@@ -170,6 +170,14 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, text, names):
     assert not (tmp_path / "run").exists()
 
 
+def test_config_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"note: \xff\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+
+
 def test_main_freezes_the_heap_at_exit_only_when_it_owns_the_process(tmp_path, monkeypatch):
     """`main()` with no argv, as the console script calls it, registers
     gc.freeze to run at exit; a caller that passes argv keeps the normal
@@ -562,6 +570,84 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
             assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, how, lines)
             assert artifact in lines[0]
         path.write_bytes(data)
+
+
+def damaged_checkpoint(data: bytes, case: str) -> bytes:
+    """model.bin's bytes with its metadata or its first tensor name garbled."""
+    (meta_len,) = struct.unpack_from("<I", data, len(lstm.CKPT_MAGIC) + 4)
+    meta = len(lstm.CKPT_MAGIC) + 8
+    at = {"meta 0xff": meta + 1, "meta not JSON": meta,
+          "tensor name 0xff": meta + meta_len + 4 + 2}[case]
+    return data[:at] + (b"x" if case == "meta not JSON" else b"\xff") + data[at + 1:]
+
+
+# (artifact, the stage that reads it, damaged content)
+DAMAGED_REPORTS = [
+    ("metrics.json", "report", b"[1, 2]"),
+    ("metrics.json", "report", b'{"metrics": 5}'),
+    ("metrics.json", "report", b'{"n_train": 1}'),
+    ("metrics.json", "report", b'{"metrics": {"model": 3}}'),
+    ("metrics.json", "report", b'{"metrics": {"model": {"precision_at_k": "0.5"}}}'),
+    ("metrics.json", "report", b'{"metrics": {"model": {"precision_at_k": NaN}}}'),
+    ("metrics.json", "report", b'{"metrics": '),
+    ("metrics.json", "report", b'{"metrics": "\xff"}'),
+    ("sim_stats.json", "report", b"[1, 2]"),
+    ("sim_stats.json", "report", b'{"n_misses": '),
+    ("sim_stats.json", "report", b'{"n_misses": "\xff"}'),
+    ("sim_stats.json", "report", b'{"n_misses": NaN}'),
+]
+
+
+def test_damaged_reports_and_checkpoint_meta_exit_1_with_one_error_line(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, STRIDE_CFG)
+    out = tmp_path / "run"
+    for stage in ("simulate", "vocab", "train", "eval"):
+        assert run(stage, cfg_path, out) == 0
+    model = (out / "model.bin").read_bytes()
+    cases = DAMAGED_REPORTS + [("model.bin", "eval", damaged_checkpoint(model, case))
+                               for case in ("meta 0xff", "meta not JSON", "tensor name 0xff")]
+    for artifact, stage, content in cases:
+        path = out / artifact
+        whole = path.read_bytes()
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert run(stage, cfg_path, out) == 1, (artifact, content)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (artifact, content, lines)
+        assert artifact in lines[0], (content, lines)
+        path.write_bytes(whole)
+    assert run("report", cfg_path, out) == 0
+
+
+@pytest.mark.parametrize("bug", [KeyError("cfg"), ValueError("bad"), TypeError("bad")])
+def test_a_bug_inside_a_stage_ends_in_a_traceback(tmp_path, monkeypatch, capsys, bug):
+    def stage(cfg, out_dir):
+        raise bug
+
+    monkeypatch.setitem(cli._STAGES, "simulate", stage)
+    with pytest.raises(type(bug)):
+        run("simulate", write_cfg(tmp_path, STRIDE_CFG), tmp_path / "run")
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_train_reports_the_loss_of_its_last_labelled_step(tmp_path, monkeypatch, capsys):
+    # a pass is 9 windows, and the last two lie past every cluster's split
+    cfg_path = write_cfg(tmp_path, dict(REGION_CFG, train=dict(REGION_CFG["train"], steps=36)))
+    out = tmp_path / "run"
+    for stage in ("simulate", "cluster"):
+        assert run(stage, cfg_path, out) == 0
+    histories = []
+    train_model = models.train_model
+    monkeypatch.setattr(models, "train_model",
+                        lambda *args: histories.append(train_model(*args)) or histories[-1])
+    capsys.readouterr()
+    assert run("train", cfg_path, out) == 0
+    summary = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    (history,) = histories
+    labelled = [entry for entry in history if entry["n_labelled"]]
+    assert history[-1]["n_labelled"] == 0 and history[-1]["loss"] == 0.0
+    assert summary["final_loss"] == str(labelled[-1]["loss"]) != "0.0"
+    assert summary["unlabelled_steps"] == str(len(history) - len(labelled)) != "0"
 
 
 def assert_eval_refuses_model(cfg_path, out, capsys):

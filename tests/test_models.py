@@ -340,9 +340,9 @@ def test_embedding_id_past_its_table_raises(table):
     pc = np.zeros((3, 2), dtype=np.int64)
     din = np.zeros((3, 2), dtype=np.int64)
     if table == "pc":
-        pc[2, 1] = model.n_pcs + 1
+        pc[2, 1] = model.meta["n_pcs"] + 1
     else:
-        din[2, 1] = model.n_delta_inputs + 1
+        din[2, 1] = model.meta["n_delta_inputs"] + 1
     with pytest.raises(IndexError):
         model.run_lstm(pc, din, model.zero_states(2))
 
@@ -539,6 +539,25 @@ def test_train_model_learns_constant_successor():
     assert len(history) == 300
     assert history[-1]["loss"] < 0.05
     assert history[-1]["loss"] < history[0]["loss"] / 10
+
+
+def test_history_counts_each_steps_labelled_positions():
+    # two windows a pass: the first has 3 labels, the second none
+    labels = np.full((2, 8), -1, dtype=np.int64)
+    labels[0, :3] = 1
+    batches = {"pc": np.zeros((2, 8), dtype=np.int64), "delta_in": np.zeros((2, 8), dtype=np.int64),
+               "label": labels}
+    model = EmbeddingPrefetcher(n_delta_inputs=2, n_pcs=1, n_outputs=2, hidden=4, embed=2,
+                                layers=1, seed=0)
+    params = []  # after each step
+    history = train_model(
+        model, batches, TrainConfig(steps=4, window=4, eval_every=1),
+        callback=lambda step, m: params.append({n: p.copy() for n, p in m.params.items()}),
+    )
+    assert [entry["n_labelled"] for entry in history] == [3, 0, 3, 0]
+    assert history[1]["loss"] == history[3]["loss"] == 0.0 < history[0]["loss"]
+    # an unlabelled step's zero gradients still move Adam's weights
+    assert any(not np.array_equal(p, params[0][name]) for name, p in params[1].items())
 
 
 def test_train_model_stops_on_non_finite_loss():
@@ -818,7 +837,7 @@ def test_embedding_model_checkpoint_roundtrip(tmp_path):
     meta = load_weights(loaded, path)
     assert meta["kind"] == "embedding"
     assert meta["note"] == "hi"
-    assert loaded.modality == model.modality
+    assert loaded.meta == model.meta
     assert list(loaded.params) == list(model.params)
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
@@ -829,6 +848,37 @@ def test_embedding_model_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(a, b)
 
 
+# the metadata block that save_model wrote before each model kept its own
+# record: moving the record into the models must change no byte of model.bin
+PINNED_META = {
+    "both": b'{"config_hash":"ab","dtype":"float32","embed":4,"hidden":8,"kind":"embedding",'
+            b'"layers":1,"modality":"both","n_delta_inputs":5,"n_outputs":4,"n_pcs":3,"n_train":7}',
+    "delta_only": b'{"config_hash":"ab","dtype":"float32","embed":4,"hidden":8,'
+                  b'"kind":"embedding","layers":1,"modality":"delta_only","n_delta_inputs":5,'
+                  b'"n_outputs":4,"n_pcs":3,"n_train":7}',
+    "pc_only": b'{"config_hash":"ab","dtype":"float32","embed":4,"hidden":8,"kind":"embedding",'
+               b'"layers":1,"modality":"pc_only","n_delta_inputs":5,"n_outputs":4,"n_pcs":3,'
+               b'"n_train":7}',
+    "cluster": b'{"config_hash":"ab","dtype":"float64","hidden":8,"kind":"cluster","layers":2,'
+               b'"n_train":7,"vocab_sizes":[3,0,2]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_META))
+def test_checkpoint_meta_block_is_pinned(tmp_path, kind):
+    if kind == "cluster":
+        model = ClusterPrefetcher([3, 0, 2], hidden=8, layers=2, dtype=np.float64, seed=0)
+    else:
+        model = EmbeddingPrefetcher(5, 3, 4, hidden=8, embed=4, layers=1, modality=kind,
+                                    dtype=np.float32, seed=0)
+    path = tmp_path / "m.bin"
+    save_model(model, path, {"config_hash": "ab", "n_train": 7})
+    data = path.read_bytes()
+    at = len(lstm.CKPT_MAGIC) + 8  # past the magic, the version and the meta length
+    (meta_len,) = np.frombuffer(data, dtype="<u4", count=1, offset=at - 4)
+    assert data[at : at + meta_len] == PINNED_META[kind]
+
+
 @pytest.mark.parametrize("modality", ["delta_only", "pc_only"])
 def test_single_modality_checkpoint_roundtrip(tmp_path, modality):
     model = tiny_embedding_model(seed=4, modality=modality)
@@ -836,7 +886,7 @@ def test_single_modality_checkpoint_roundtrip(tmp_path, modality):
     save_model(model, path)
     loaded = tiny_embedding_model(seed=5, modality=modality)
     load_weights(loaded, path)
-    assert loaded.modality == modality
+    assert loaded.meta["modality"] == modality
     assert loaded.e_pc == model.e_pc and loaded.e_delta == model.e_delta
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
