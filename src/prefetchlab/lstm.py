@@ -12,6 +12,7 @@ candidate cell value. Forget-gate biases initialize to 1.0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -83,8 +84,6 @@ def _gate_views(a):
 # multiply-adds one job must do before it goes to the second lane: at batch 1
 # the hand-off between threads costs more than the GEMV it moves
 LANE_MIN_MACS = 1 << 20
-# what OpenBLAS reads, in its order, for its thread count at load time
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def cpus() -> int:
@@ -94,14 +93,30 @@ def cpus() -> int:
     return os.cpu_count() or 1
 
 
-def blas_threads() -> int:
-    """The threads each BLAS call uses: the first positive count among
-    `BLAS_THREAD_VARS`, else one per CPU, as OpenBLAS starts them."""
-    for name in BLAS_THREAD_VARS:
-        value = os.environ.get(name, "").split(",")[0].strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus()
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy links, or None (MKL,
+    Accelerate); looked up in numpy's linalg extension, whose dependencies dlsym searches."""
+    import ctypes
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        if get is not None:
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_threads(set_to: int | None = None) -> int | None:
+    """OpenBLAS's thread count, asked of the library, which is then set to
+    `set_to` if given; None, and nothing set, without OpenBLAS."""
+    blas = _openblas()
+    threads = blas[0]() if blas else None
+    if blas and set_to is not None:
+        blas[1](set_to)
+    return threads
 
 
 def _lane_worker(jobs):
@@ -126,14 +141,13 @@ class Lanes:
 
     `run(fn, calls, macs)` returns `[fn(*args) for args in calls]`. When each
     call does at least `LANE_MIN_MACS` multiply-adds, the process may run on
-    more than one CPU and BLAS runs one thread per call, the caller runs the
-    first call and the worker the rest, in order; numpy releases the
-    interpreter lock inside its GEMMs, so the two overlap. A BLAS that
-    already spreads each GEMM over the CPUs gains nothing from a second
-    lane, and lanes stay off. Every call does what it would do alone, so
-    results are bit-identical to the inline loop, which runs otherwise:
-    then no thread starts and nothing is imported. The worker starts on
-    first use, and again in a forked child, which inherits no threads.
+    more than one CPU and OpenBLAS runs one thread, as training holds it,
+    the caller runs the first call and the worker the rest, in order; numpy
+    releases the interpreter lock inside its GEMMs, so the two overlap.
+    Every call does what it would do alone, so results are bit-identical to
+    the inline loop, which runs otherwise: then no thread starts and nothing
+    is imported. The worker starts on first use, and again in a forked
+    child, which inherits no threads.
     """
 
     def __init__(self):
@@ -152,7 +166,7 @@ class Lanes:
         return self._jobs
 
     def run(self, fn, calls, macs):
-        if len(calls) < 2 or macs < LANE_MIN_MACS or cpus() < 2 or blas_threads() > 1:
+        if len(calls) < 2 or macs < LANE_MIN_MACS or cpus() < 2 or blas_threads() != 1:
             return [fn(*args) for args in calls]
         import threading
         out, errors, done = [None] * len(calls), [], threading.Lock()

@@ -30,6 +30,7 @@ from .lstm import (
     LANES,
     adagrad_step,
     adam_step,
+    blas_threads,
     clip_global_norm,
     lstm_backward,
     lstm_forward,
@@ -415,6 +416,7 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
     Returns per-step history entries {step, loss, grad_norm, n_labelled};
     a step with no labelled position has loss 0 and still moves Adam. Raises
     DataError at the first non-finite loss, before it reaches the weights.
+    OpenBLAS runs one thread in the loop and gets the caller's count back after.
     """
     rows, cols = batches["label"].shape
     if cols < 1:
@@ -424,30 +426,34 @@ def train_model(model, batches: dict, cfg: TrainConfig, callback=None) -> list[d
     opt_state: dict = {}
     history = []
     pos = 0
-    for step in range(1, cfg.steps + 1):
-        if pos + window > cols:
-            pos = 0
-            states = model.zero_states(rows)
-        sl = slice(pos, pos + window)
-        inputs = [batches[key][:, sl].T for key in model.input_keys]
-        labels = batches["label"][:, sl].T
-        loss, grads, states = model.loss_and_grads(*inputs, labels, states)
-        if not math.isfinite(loss):
-            raise DataError(f"non-finite training loss {loss} at step {step}")
-        norm = clip_global_norm(grads, cfg.clip)
-        if cfg.optimizer == "adam":
-            adam_step(model.params, grads, opt_state, lr=cfg.lr)
-        else:
-            adagrad_step(model.params, grads, opt_state, lr=cfg.lr)
-        # freed now, not when the next step rebinds them after its head, where
-        # memory peaks
-        del grads
-        history.append({"step": step, "loss": loss, "grad_norm": norm,
-                        "n_labelled": int(np.count_nonzero(labels >= 0))})
-        pos += window
-        if callback is not None and cfg.eval_every and step % cfg.eval_every == 0:
-            if callback(step, model):
-                break
+    threads = blas_threads(set_to=1)
+    try:
+        for step in range(1, cfg.steps + 1):
+            if pos + window > cols:
+                pos = 0
+                states = model.zero_states(rows)
+            sl = slice(pos, pos + window)
+            inputs = [batches[key][:, sl].T for key in model.input_keys]
+            labels = batches["label"][:, sl].T
+            loss, grads, states = model.loss_and_grads(*inputs, labels, states)
+            if not math.isfinite(loss):
+                raise DataError(f"non-finite training loss {loss} at step {step}")
+            norm = clip_global_norm(grads, cfg.clip)
+            if cfg.optimizer == "adam":
+                adam_step(model.params, grads, opt_state, lr=cfg.lr)
+            else:
+                adagrad_step(model.params, grads, opt_state, lr=cfg.lr)
+            # freed now, not when the next step rebinds them after its head,
+            # where memory peaks
+            del grads
+            history.append({"step": step, "loss": loss, "grad_norm": norm,
+                            "n_labelled": int(np.count_nonzero(labels >= 0))})
+            pos += window
+            if callback is not None and cfg.eval_every and step % cfg.eval_every == 0:
+                if callback(step, model):
+                    break
+    finally:
+        blas_threads(set_to=threads)
     return history
 
 

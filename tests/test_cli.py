@@ -332,33 +332,36 @@ def run_fresh(script, *args):
     return proc
 
 
-# Large enough that the LSTM layer GEMMs (B = 64, H = 64, D = 64) and the
-# head's gradient GEMMs (T*B = 1024 rows, ~200 classes) run on two lanes
-# where BLAS runs one thread
-LANE_CFG = {
-    "seed": 5,
-    "trace": {"kind": "pc_correlated", "length": 4000, "table": [64 * (j + 1) for j in range(200)],
-              "shifts": [1, 37, 91, 150], "run_length": 1, "selection": "round_robin"},
+# The benchmark's 1,000-delta table trace (`pc_table_1k`) at one training
+# step. Its B = 64 GEMMs round differently when OpenBLAS splits them over
+# two threads, so a model trained at whatever count the environment sets
+# would differ between counts. Its LSTM layer GEMMs (B = 64, D = H = 64)
+# and head gradient GEMMs run on two lanes.
+TABLE_1K_CFG = {
+    "seed": 0,
+    "trace": {"kind": "pc_correlated", "length": 9000,
+              "table": [64 * (j + 1) for j in range(1000)], "shifts": [1, 117, 353, 612],
+              "run_length": 1, "selection": "round_robin"},
     "model": {"type": "embedding", "hidden": 64, "embed": 32, "dtype": "float32"},
-    "train": {"steps": 2, "batch": 64, "window": 16},
+    "train": {"steps": 1, "batch": 64, "window": 64, "optimizer": "adam"},
     "vocab": {"min_input_count": 2},
 }
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_training_is_deterministic_at_each_blas_thread_count(tmp_path, blas_threads):
-    """Two fresh `train` processes at one BLAS thread count write the same
-    model.bin: at one thread with the step's GEMMs on two lanes, at two
-    with each GEMM spread by BLAS and lanes off."""
+    """A fresh `train` process with the BLAS thread variables at 1 or 2
+    writes the same model.bin as one at 1: training holds OpenBLAS at one
+    thread whatever the environment asks."""
     assert lstm._layer_macs(64, 64, 64) >= lstm.LANE_MIN_MACS
-    cfg_path = write_cfg(tmp_path, LANE_CFG)
+    cfg_path = write_cfg(tmp_path, TABLE_1K_CFG)
     first = tmp_path / "first"
     for stage in ("simulate", "vocab"):
         assert run(stage, cfg_path, first) == 0
     second = tmp_path / "second"
     shutil.copytree(first, second)
-    env = dict(fresh_env(), OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
-    for out in (first, second):
+    for out, threads in ((first, "1"), (second, blas_threads)):
+        env = dict(fresh_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         argv = [sys.executable, "-m", "prefetchlab.cli", "train", "--config", cfg_path,
                 "--out", str(out)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)

@@ -225,7 +225,7 @@ def test_training_step_holds_one_head_buffer(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layers", [1, 2, 3])
-def test_step_on_lanes_bit_equal_to_inline(monkeypatch, dtype, layers):
+def test_step_on_lanes_bit_equal_to_inline(monkeypatch, one_blas_thread, dtype, layers):
     """A training step at T = B = 64, D = 256, H = 128, 1k classes gives the
     same loss, gradients (the head's included) and states on two lanes as
     inline."""
@@ -235,7 +235,6 @@ def test_step_on_lanes_bit_equal_to_inline(monkeypatch, dtype, layers):
     rng = np.random.default_rng(layers)
     inputs = rng.integers(0, 4, size=(T, B)), rng.integers(0, 50, size=(T, B))
     labels = rng.integers(-1, 1001, size=(T, B))
-    monkeypatch.setattr(lstm, "blas_threads", lambda: 1)
     steps = []
     for threshold in (float("inf"), 0):
         monkeypatch.setattr(lstm, "LANE_MIN_MACS", threshold)
@@ -248,7 +247,7 @@ def test_step_on_lanes_bit_equal_to_inline(monkeypatch, dtype, layers):
         assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
 
 
-def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch):
+def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch, one_blas_thread):
     """No job goes to the second lane, and so no thread starts, in a
     training step at the cluster workload's shape (3 clusters as batch
     rows, T = 64, H = 64, 21 classes) or in eval's batch-1 forward at
@@ -256,7 +255,6 @@ def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch):
     def no_worker():
         raise AssertionError("a lane was asked for below the threshold")
 
-    monkeypatch.setattr(lstm, "blas_threads", lambda: 1)
     monkeypatch.setattr(lstm.LANES, "_worker_jobs", no_worker)
     rng = np.random.default_rng(8)
     model = ClusterPrefetcher([20, 20, 20], hidden=64, dtype=np.float32, seed=0)
@@ -574,6 +572,57 @@ def test_train_model_stops_on_non_finite_loss():
         train_model(model, batches, TrainConfig(steps=5, window=16))
     for name, p in model.params.items():
         assert np.array_equal(p, before[name], equal_nan=True), name
+
+
+@pytest.mark.skipif(lstm.blas_threads() is None, reason="numpy links no OpenBLAS")
+def test_train_model_gives_back_the_callers_blas_threads():
+    """Training runs at one OpenBLAS thread and gives the caller's count
+    back after a normal run and after a non-finite loss."""
+    din = np.tile(np.array([0, 1], dtype=np.int64), 128)
+    model = EmbeddingPrefetcher(
+        n_delta_inputs=2, n_pcs=1, n_outputs=2, hidden=8, embed=4, layers=1, seed=0
+    )
+    batches = batchify({"pc": np.zeros(256, dtype=np.int64), "delta_in": din,
+                        "label": np.roll(din, -1)}, 8)
+    seen = []
+    callers = lstm.blas_threads(set_to=3)
+    try:
+        train_model(model, batches, TrainConfig(steps=2, window=16, eval_every=1),
+                    callback=lambda step, m: seen.append(lstm.blas_threads()))
+        assert seen == [1, 1]
+        assert lstm.blas_threads() == 3
+        model.params["head_b"][1] = np.nan
+        with pytest.raises(DataError, match="non-finite training loss"):
+            train_model(model, batches, TrainConfig(steps=2, window=16))
+        assert lstm.blas_threads() == 3
+    finally:
+        lstm.blas_threads(set_to=callers)
+
+
+def test_train_model_without_openblas_runs_inline_and_sets_no_threads(monkeypatch):
+    """Where the lookup finds no OpenBLAS, a step large enough for two lanes
+    (B = 64, D = H = 64, two layers, 201 classes) runs inline, and no thread
+    count is set: inside the loop the library still runs the caller's two."""
+    def no_worker():
+        raise AssertionError("a lane was asked for")
+
+    assert lstm._layer_macs(64, 64, 64) >= lstm.LANE_MIN_MACS
+    rng = np.random.default_rng(4)
+    model = EmbeddingPrefetcher(50, 4, 200, hidden=64, embed=32, layers=2, dtype=np.float32,
+                                seed=0)
+    batches = {"pc": rng.integers(0, 4, size=(64, 8)), "delta_in": rng.integers(0, 50, size=(64, 8)),
+               "label": rng.integers(-1, 201, size=(64, 8))}
+    real, seen = lstm._openblas(), []
+    callers = lstm.blas_threads(set_to=2)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(lstm, "_openblas", lambda: None)
+            patch.setattr(lstm.LANES, "_worker_jobs", no_worker)
+            train_model(model, batches, TrainConfig(steps=2, window=8, eval_every=1),
+                        callback=lambda step, m: seen.append(real and real[0]()))
+    finally:
+        lstm.blas_threads(set_to=callers)
+    assert seen == ([2, 2] if real else [None, None])
 
 
 def test_train_model_callback_stops_early():
