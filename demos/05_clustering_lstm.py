@@ -5,7 +5,7 @@ Clustering the address space
 When a workload touches several far-apart regions, one global delta vocab
 drowns in cross-region noise. k-means on the addresses splits the stream;
 a single weight-tied LSTM then models every cluster's local deltas, with
-the cluster id as an input feature.
+the cluster id as an input feature: batch row c is cluster c's stream.
 """
 
 import numpy as np
@@ -26,10 +26,10 @@ for cid, (idx, _) in enumerate(per_cluster):
     print(f"  cluster {cid}: {len(idx)} misses")
 
 vocabs = models.build_cluster_vocabs(per_cluster, n_train, min_input_count=1)
-print("per-cluster output classes:", [v.n_output if v else None for v in vocabs])
+print("per-cluster output classes:", [v.n_output for v in vocabs])
 
 model = models.ClusterPrefetcher(
-    vocab_sizes=[v.n_output if v else 0 for v in vocabs],
+    vocab_sizes=[v.n_output for v in vocabs],
     hidden=64, layers=2, dtype=np.float32, seed=4,
 )
 dataset = models.cluster_dataset(per_cluster, vocabs, norms, model)

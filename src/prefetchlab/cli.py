@@ -330,10 +330,8 @@ def prepare(cfg: dict, out_dir: str, misses, n_train: int, seed: int | None):
         per_cluster, n_train, max_output=cfg["vocab"]["max_output"],
         min_input_count=cfg["cluster"]["min_input_count"],
     )
-    model = models.ClusterPrefetcher(
-        [v.n_output if v is not None else 0 for v in vocabs], hidden=mcfg["hidden"],
-        layers=mcfg["layers"], dtype=dtype, seed=seed,
-    )
+    model = models.ClusterPrefetcher([v.n_output for v in vocabs], hidden=mcfg["hidden"],
+                                     layers=mcfg["layers"], dtype=dtype, seed=seed)
     return model, models.cluster_dataset(per_cluster, vocabs, norms, model), vocabs
 
 

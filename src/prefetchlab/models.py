@@ -8,10 +8,10 @@ Two model families share the numpy LSTM core:
   delta out of the miss. Ablations keep the input width fixed: the single
   remaining embedding widens to 2E.
 - ClusterPrefetcher runs one weight-shared LSTM per address cluster with
-  separate recurrent state per cluster. Inputs are the normalized delta
-  into the miss plus a one-hot cluster id; the softmax head is shared
-  across clusters (sized by the largest per-cluster vocabulary) and
-  invalid classes are masked out per cluster.
+  separate recurrent state per cluster: batch row c is cluster c's stream.
+  Inputs are the normalized delta into the miss plus the one-hot of its
+  row; the softmax head is shared across clusters (sized by the largest
+  per-cluster vocabulary) and invalid classes are masked out per row.
 
 Both models keep a trainable out-of-vocabulary output class that is never
 emitted as a prediction.
@@ -45,7 +45,6 @@ from .trace import MissStream
 from .vocab import DeltaVocab, build_vocab
 
 MASK_NEG = -1e30  # additive logit mask for classes a cluster cannot emit
-MASK_BLOCK = 1 << 16  # elements of mask rows gathered at once
 
 
 def embedding_grad(table, ids, d_rows):
@@ -65,15 +64,16 @@ def embedding_grad(table, ids, d_rows):
 class _LstmPrefetcher:
     """Stacked LSTM plus softmax head over per-position input vectors.
 
-    Subclasses provide `_inputs(x, a, b)`, which writes the encoding of
-    their two id arrays into `x`, the (T, B, D) input view of the window
-    buffer that `run_lstm` allocates per call, and `_mask_loss_logits(logits,
-    b)`, which masks the (T*B, C) logits in place or leaves them. They put
-    their own input tables into `params` before calling `_init_core`, so
-    RNG draws and parameter order follow that order (a `seed` of None draws
-    nothing and leaves zeros for `load_weights` to fill). Only training
-    keeps the LSTM's backward caches; other forwards run with `cache=False`.
-    Each subclass also builds its own `training_batches` and `prediction_sets`.
+    Every method takes a window's (T, B) input arrays in `input_keys`
+    order. Subclasses provide `_inputs(x, *inputs)`, which writes their
+    encoding into `x`, the (T, B, D) input view of the window buffer that
+    `run_lstm` allocates per call, and may override `_mask_loss_logits`.
+    They put their own input tables into `params` before calling
+    `_init_core`, so RNG draws and parameter order follow that order (a
+    `seed` of None draws nothing and leaves zeros for `load_weights` to
+    fill). Only training keeps the LSTM's backward caches; other forwards
+    run with `cache=False`. Each subclass also builds its own
+    `training_batches` and `prediction_sets`.
     """
 
     def __init__(self, meta: dict, hidden: int, layers: int, dtype):
@@ -96,39 +96,46 @@ class _LstmPrefetcher:
     def zero_states(self, batch: int):
         return zero_states(self.layers, batch, self.hidden, self.dtype)
 
-    def run_lstm(self, a, b, states, cache=False):
-        """(top-layer outputs, new states, caches) of the LSTM stack alone."""
+    def run_lstm(self, *args, cache=False):
+        """(top-layer outputs, new states, caches) of the LSTM stack alone;
+        `args` are the inputs, then the states."""
+        *inputs, states = args
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
         bs = [self.params[f"lstm{l}_b"] for l in range(self.layers)]
-        T, B = np.shape(b)
+        T, B = np.shape(inputs[0])
         L, D = self.layers, Ws[0].shape[1] - self.hidden
         buf = np.empty((T + L, B, D + L * self.hidden), dtype=self.dtype)
-        self._inputs(buf[:T, :, :D], a, b)
+        self._inputs(buf[:T, :, :D], *inputs)
         return lstm_forward(buf, states, Ws, bs, cache=cache)
 
-    def _forward(self, a, b, states, cache=False):
-        H_top, new_states, caches = self.run_lstm(a, b, states, cache)
+    def _forward(self, inputs, states, cache=False):
+        H_top, new_states, caches = self.run_lstm(*inputs, states, cache=cache)
         T, B, H = H_top.shape
         flat = H_top.reshape(T * B, H)
         logits = flat @ self.params["head_W"].T
         logits += self.params["head_b"]
         return logits, flat, new_states, caches
 
-    def _loss_terms(self, a, b, labels, states, cache=False):
-        logits, flat, new_states, caches = self._forward(a, b, states, cache)
-        self._mask_loss_logits(logits, b)
+    def _mask_loss_logits(self, logits):
+        """Mask the (T*B, C) logits in place before the loss; no mask here."""
+
+    def _loss_terms(self, inputs, labels, states, cache=False):
+        logits, flat, new_states, caches = self._forward(inputs, states, cache)
+        self._mask_loss_logits(logits)
         # the logits buffer comes back as dlogits
         loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
         return loss, dlogits, flat, new_states, caches
 
-    def loss(self, a, b, labels, states):
-        loss, _, _, new_states, _ = self._loss_terms(a, b, labels, states)
+    def loss(self, *args):
+        """(loss, new states) of the inputs, then the labels and the states."""
+        *inputs, labels, states = args
+        loss, _, _, new_states, _ = self._loss_terms(inputs, labels, states)
         return loss, new_states
 
-    def _core_grads(self, a, b, labels, states):
+    def _core_grads(self, inputs, labels, states):
         """Loss, grads keyed in `params` order (input tables left None),
         dL/d(inputs) (T, B, D) and new states."""
-        loss, dlogits, flat, new_states, caches = self._loss_terms(a, b, labels, states, cache=True)
+        loss, dlogits, flat, new_states, caches = self._loss_terms(inputs, labels, states, True)
         # in params order: clip_global_norm sums the squares in dict order
         grads = dict.fromkeys(self.params)
         # the head's two gradient GEMMs, on two lanes at a large head; no name
@@ -138,8 +145,7 @@ class _LstmPrefetcher:
             dlogits.size * self.hidden,
         )
         grads["head_b"] = dlogits.sum(axis=0)
-        T, B = np.shape(b)
-        dH_top = dH.reshape(T, B, self.hidden)
+        dH_top = dH.reshape(*np.shape(labels), self.hidden)
         # the (T*B, C) head buffer is freed before the LSTM backward runs
         del dlogits
         Ws = [self.params[f"lstm{l}_W"] for l in range(self.layers)]
@@ -203,11 +209,8 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
         if self.e_delta:
             np.take(self.params["emb_delta"], delta_ids, axis=0, out=x[..., self.e_pc :])
 
-    def _mask_loss_logits(self, logits, delta_ids):
-        pass
-
     def loss_and_grads(self, pc_ids, delta_ids, labels, states):
-        loss, grads, dX, new_states = self._core_grads(pc_ids, delta_ids, labels, states)
+        loss, grads, dX, new_states = self._core_grads((pc_ids, delta_ids), labels, states)
         off = 0
         tables = (("emb_pc", pc_ids, self.e_pc), ("emb_delta", delta_ids, self.e_delta))
         for name, ids, width in tables:
@@ -218,7 +221,7 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
 
     def predict_topk(self, pc_ids, delta_ids, states, k: int = 10):
         """Top-k output class ids per position; the OOV class never appears."""
-        logits, _, new_states, _ = self._forward(pc_ids, delta_ids, states)
+        logits, _, new_states, _ = self._forward((pc_ids, delta_ids), states)
         scores = logits[:, : self.n_outputs]
         T, B = pc_ids.shape
         ids = topk_indices(scores, k).reshape(T, B, -1)
@@ -228,13 +231,14 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
 class ClusterPrefetcher(_LstmPrefetcher):
     """Weight-shared LSTM applied per address cluster.
 
-    `vocab_sizes[c]` is the dense output count of cluster c (0 for clusters
-    with no training deltas). The shared head has max(vocab_sizes) + 1
+    `vocab_sizes[c]` is the dense output count of cluster c (0 for a
+    cluster whose vocabulary has no classes). A batch has k rows, row c
+    being cluster c's stream. The shared head has max(vocab_sizes) + 1
     classes; the last one is the shared OOV label. Per-cluster additive
     masks hide classes outside a cluster's vocabulary.
     """
 
-    input_keys = ("norm_delta", "cluster_id")
+    input_keys = ("norm_delta",)
 
     def __init__(self, vocab_sizes: list[int], hidden: int = 128, layers: int = 2,
                  dtype=np.float64, seed: int | None = 0):
@@ -265,7 +269,8 @@ class ClusterPrefetcher(_LstmPrefetcher):
         return np.where(output_ids < self.vocab_sizes[cluster], output_ids, self.oov_label)
 
     def training_batches(self, dataset: dict, n_train: int, batch: int) -> dict:
-        """One row per cluster (`batch` is unused); targets from `n_train` on carry no label."""
+        """The dataset's k rows, one per cluster, as every cluster batch is
+        (`batch` is unused); targets from `n_train` on carry no label."""
         batches = {key: dataset[key] for key in self.input_keys}
         batches["label"] = np.where(dataset["target_index"] < n_train, dataset["label"], -1)
         return batches
@@ -273,39 +278,30 @@ class ClusterPrefetcher(_LstmPrefetcher):
     def prediction_sets(self, dataset: dict, vocabs: list, test_start: int, k: int):
         return cluster_prediction_sets(self, dataset, vocabs, test_start, k)
 
-    def _inputs(self, x, norm_delta, cluster_ids):
+    def _inputs(self, x, norm_delta):
+        if x.shape[1] != self.k:
+            raise DataError(f"a cluster batch has one row per cluster, k = {self.k}; "
+                            f"got {x.shape[1]} rows")
         x[..., 0] = norm_delta
-        x[..., 1:] = np.eye(self.k, dtype=self.dtype)[cluster_ids]
+        x[..., 1:] = np.eye(self.k, dtype=self.dtype)
 
-    @staticmethod
-    def _add_mask(logits, mask, cluster_ids):
-        """Add each position's row of a (k, C) mask to the (T*B, C) logits in
-        place. The rows are gathered a block of time steps at a time, each
-        block at most MASK_BLOCK elements or one (B, C) time step, so the
-        gather never copies a large head whole; a small head takes one
-        gather, where a loop over time steps would cost more than the add."""
-        T, B = cluster_ids.shape
-        blocks = logits.reshape(T, B, -1)
-        step = max(1, MASK_BLOCK // blocks[0].size)
-        for t in range(0, T, step):
-            blocks[t : t + step] += mask[cluster_ids[t : t + step]]
+    def _mask_loss_logits(self, logits):
+        rows = logits.reshape(-1, self.k, self.head_size)
+        rows += self.loss_mask
 
-    def _mask_loss_logits(self, logits, cluster_ids):
-        self._add_mask(logits, self.loss_mask, cluster_ids)
-
-    def loss_and_grads(self, norm_delta, cluster_ids, labels, states):
-        loss, grads, _, new_states = self._core_grads(norm_delta, cluster_ids, labels, states)
+    def loss_and_grads(self, norm_delta, labels, states):
+        loss, grads, _, new_states = self._core_grads((norm_delta,), labels, states)
         return loss, grads, new_states
 
-    def predict_topk(self, norm_delta, cluster_ids, states, k: int = 10):
+    def predict_topk(self, norm_delta, states, k: int = 10):
         """Top-k shared-head ids per position; masked-out slots come back -1."""
-        scores, _, new_states, _ = self._forward(norm_delta, cluster_ids, states)
-        self._add_mask(scores, self.pred_mask, cluster_ids)
+        scores, _, new_states, _ = self._forward((norm_delta,), states)
+        rows = scores.reshape(-1, self.k, self.head_size)
+        rows += self.pred_mask
         ids = topk_indices(scores, min(k, self.head_size))
         picked = np.take_along_axis(scores, ids, axis=-1)
         ids = np.where(picked > MASK_NEG / 2, ids, -1)
-        T, B = cluster_ids.shape
-        return ids.reshape(T, B, -1), new_states
+        return ids.reshape(len(norm_delta), self.k, -1), new_states
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +334,14 @@ def embedding_dataset(misses: MissStream, delta_vocab: DeltaVocab, pc_vocab) -> 
 
 
 def build_cluster_vocabs(per_cluster: list, train_len: int, max_output: int = 50_000,
-                         min_input_count: int = 1) -> list[DeltaVocab | None]:
+                         min_input_count: int = 1) -> list[DeltaVocab]:
     """The vocabulary of each cluster's training deltas (`train_deltas`) in
-    `clustering.cluster_deltas`' split; None where a cluster has none."""
-    vocabs: list[DeltaVocab | None] = []
-    for idx, deltas in per_cluster:
-        ds = train_deltas(idx, deltas, train_len)
-        vocabs.append(build_vocab(ds, max_output, min_input_count) if len(ds) else None)
-    return vocabs
+    `clustering.cluster_deltas`' split; one with no classes where a cluster has none."""
+    return [build_vocab(train_deltas(idx, deltas, train_len), max_output, min_input_count)
+            for idx, deltas in per_cluster]
 
 
-def cluster_dataset(per_cluster: list, vocabs: list[DeltaVocab | None],
+def cluster_dataset(per_cluster: list, vocabs: list[DeltaVocab],
                     norm_params: np.ndarray, model: ClusterPrefetcher) -> dict:
     """Padded (k, max_len) arrays, one row per cluster of `per_cluster`.
 
@@ -363,14 +356,12 @@ def cluster_dataset(per_cluster: list, vocabs: list[DeltaVocab | None],
         "delta_raw": np.zeros((k, max_len), dtype=np.int64),
         "target_index": np.full((k, max_len), -1, dtype=np.int64),
         "timestep": np.full((k, max_len), -1, dtype=np.int64),
-        "cluster_id": np.tile(np.arange(k, dtype=np.int64)[:, None], (1, max_len)),
     }
     for c, (idx, raw) in enumerate(per_cluster):
         n_ev = len(raw)
         # the first event's input is the start value 0
         out["norm_delta"][c, 1:n_ev] = normalize_deltas(raw[:-1], norm_params[c])
-        if vocabs[c] is not None:
-            out["label"][c, :n_ev] = model.shared_label(vocabs[c].encode_output(raw), c)
+        out["label"][c, :n_ev] = model.shared_label(vocabs[c].encode_output(raw), c)
         out["delta_raw"][c, :n_ev] = raw
         out["target_index"][c, :n_ev] = idx[1:]
         out["timestep"][c, :n_ev] = idx[:-1]
@@ -547,12 +538,11 @@ def embedding_prediction_sets(model: EmbeddingPrefetcher, dataset: dict, delta_v
 
 
 def cluster_prediction_sets(model: ClusterPrefetcher, dataset: dict,
-                            vocabs: list[DeltaVocab | None], test_start: int, k: int = 10,
+                            vocabs: list[DeltaVocab], test_start: int, k: int = 10,
                             window: int = 512) -> Predictions:
     """Each cluster's stream from its start, events whose target miss
     index is >= test_start (>= 0) kept, merged in timestep order; padding
     cells carry target index -1."""
     keep = dataset["target_index"] >= test_start
-    tables = [np.zeros(0, dtype=np.int64) if v is None else v.deltas[: v.n_output]
-              for v in vocabs]
+    tables = [v.deltas[: v.n_output] for v in vocabs]
     return _prediction_sets(model, dataset, tables, keep, min(k, model.head_size), k, window)

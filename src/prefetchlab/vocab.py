@@ -83,9 +83,8 @@ class DeltaVocab:
 def build_vocab(
     deltas: np.ndarray, max_output: int = 50_000, min_input_count: int = 10
 ) -> DeltaVocab:
-    """Build input/output vocabularies from a delta stream."""
-    if len(deltas) == 0:
-        raise DataError("cannot build a vocabulary from an empty delta stream")
+    """Build input/output vocabularies from a delta stream; an empty
+    stream gives one with no classes, which encodes every delta as OOV."""
     return DeltaVocab(*_rank(np.asarray(deltas, dtype=np.int64)), max_output, min_input_count)
 
 

@@ -100,17 +100,16 @@ def test_single_modality_gradcheck(modality):
 def test_cluster_model_gradcheck():
     rng = np.random.default_rng(4)
     model = ClusterPrefetcher(vocab_sizes=[3, 5], hidden=6, layers=2, dtype=np.float64, seed=5)
-    T, B = 4, 2
+    T, B = 4, 2  # one batch row per cluster
     nd = rng.normal(size=(T, B))
-    cid = np.tile(np.array([[0, 1]]), (T, 1))
     labels = np.stack(
         [rng.integers(0, 3, size=T), rng.integers(0, 5, size=T)], axis=1
     )
     labels[2, 0] = model.oov_label  # shared OOV slot is trainable
     labels[3, 1] = -1
-    _, analytic, _ = model.loss_and_grads(nd, cid, labels, model.zero_states(B))
+    _, analytic, _ = model.loss_and_grads(nd, labels, model.zero_states(B))
     numeric = finite_difference_grads(
-        lambda: model.loss(nd, cid, labels, model.zero_states(B))[0], model.params, eps=1e-5
+        lambda: model.loss(nd, labels, model.zero_states(B))[0], model.params, eps=1e-5
     )
     for name in model.params:
         assert relative_grad_error(analytic[name], numeric[name]) < 1e-7, name
@@ -168,8 +167,7 @@ def test_grads_come_in_params_order():
         _, grads, _ = model.loss_and_grads(pc, din, labels, model.zero_states(B))
         assert list(grads) == list(model.params)
     model = ClusterPrefetcher(vocab_sizes=[3, 5], hidden=6, layers=2, seed=5)
-    cid = np.tile(np.array([[0, 1]]), (T, 1))
-    _, grads, _ = model.loss_and_grads(rng.normal(size=(T, B)), cid, labels, model.zero_states(B))
+    _, grads, _ = model.loss_and_grads(rng.normal(size=(T, B)), labels, model.zero_states(B))
     assert list(grads) == list(model.params)
 
 
@@ -185,16 +183,18 @@ def embedding_step_case(n_classes, T, B, rng):
 
 
 def cluster_step_case(n_classes, T, B, rng):
-    model = ClusterPrefetcher([n_classes - 1, 5, 3], hidden=8, layers=1, dtype=np.float32,
-                              seed=0)
-    return model, (rng.normal(size=(T, B)), rng.integers(0, 3, size=(T, B)))
+    """B clusters, one per batch row."""
+    model = ClusterPrefetcher([n_classes - 1] + [5] * (B - 1), hidden=8, layers=1,
+                              dtype=np.float32, seed=0)
+    return model, (rng.normal(size=(T, B)),)
 
 
 def test_training_step_holds_one_head_buffer(monkeypatch):
     """Peak traced memory of a step grows by one (T*B, C) buffer per class
     added, not by one per softmax stage or logit mask, and that buffer is
-    freed before the LSTM backward runs."""
-    T, B, small, large = 8, 16, 1001, 4001
+    freed before the LSTM backward runs. Both cases hold T*B = 128 rows;
+    the cluster case has one batch row per cluster."""
+    small, large = 1001, 4001
     live_at_backward = []
     backward = models.lstm_backward
 
@@ -203,8 +203,8 @@ def test_training_step_holds_one_head_buffer(monkeypatch):
         return backward(*args)
 
     monkeypatch.setattr(models, "lstm_backward", lstm_backward)
-    buffer_growth = T * B * (large - small) * np.dtype(np.float32).itemsize
-    for make_case in (embedding_step_case, cluster_step_case):
+    for make_case, T, B in ((embedding_step_case, 8, 16), (cluster_step_case, 32, 4)):
+        buffer_growth = T * B * (large - small) * np.dtype(np.float32).itemsize
         peaks = []
         live_at_backward.clear()
         for n_classes in (small, large):
@@ -258,8 +258,8 @@ def test_lanes_stay_inline_at_cluster_and_eval_shapes(monkeypatch, one_blas_thre
     monkeypatch.setattr(lstm.LANES, "_worker_jobs", no_worker)
     rng = np.random.default_rng(8)
     model = ClusterPrefetcher([20, 20, 20], hidden=64, dtype=np.float32, seed=0)
-    model.loss_and_grads(rng.normal(size=(64, 3)), rng.integers(0, 3, size=(64, 3)),
-                         rng.integers(-1, 21, size=(64, 3)), model.zero_states(3))
+    model.loss_and_grads(rng.normal(size=(64, 3)), rng.integers(-1, 21, size=(64, 3)),
+                         model.zero_states(3))
     model = EmbeddingPrefetcher(1000, 4, 1000, hidden=128, embed=128, dtype=np.float32, seed=0)
     model.predict_topk(rng.integers(0, 4, size=(512, 1)), rng.integers(0, 1000, size=(512, 1)),
                        model.zero_states(1))
@@ -323,9 +323,10 @@ def test_cluster_inputs_in_place_equal_concatenation(k, dtype):
     model = ClusterPrefetcher([3] * k, hidden=8, layers=2, dtype=dtype, seed=0)
     T, B = 6, k
     norm_delta = rng.normal(size=(T, B)) / 3  # float64, as cluster_dataset builds it
-    cluster_ids = rng.integers(0, k, size=(T, B))
     x, buf = window_view(model, T, B)
-    model._inputs(x, norm_delta, cluster_ids)
+    model._inputs(x, norm_delta)
+    # the one-hot of each position's cluster id, row b being cluster b
+    cluster_ids = np.tile(np.arange(k), (T, 1))
     want = np.concatenate([norm_delta[..., None].astype(model.dtype),
                            np.eye(k, dtype=model.dtype)[cluster_ids]], axis=-1)
     assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
@@ -412,8 +413,7 @@ def test_predict_topk_never_emits_oov():
 def test_cluster_predict_respects_masks():
     model = ClusterPrefetcher(vocab_sizes=[2, 5], hidden=6, layers=1, seed=0)
     nd = np.zeros((2, 2))
-    cid = np.tile(np.array([[0, 1]]), (2, 1))
-    ids, _ = model.predict_topk(nd, cid, model.zero_states(2), k=10)
+    ids, _ = model.predict_topk(nd, model.zero_states(2), k=10)
     # cluster 0 has only 2 valid classes; the rest of its top-10 is padded with -1
     row0 = ids[0, 0]
     assert set(row0[row0 >= 0].tolist()) == {0, 1}
@@ -423,6 +423,21 @@ def test_cluster_predict_respects_masks():
     assert np.all(row1[row1 >= 0] < 5)
     # shared OOV slot never shows up
     assert model.oov_label not in ids
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_cluster_batch_of_other_than_k_rows_raises(rows):
+    """Row c of a cluster batch is cluster c, so a batch has k rows."""
+    model = ClusterPrefetcher(vocab_sizes=[2, 5, 3], hidden=4, layers=1, seed=0)
+    nd = np.zeros((5, rows))
+    labels = np.zeros((5, rows), dtype=np.int64)
+    with pytest.raises(DataError, match="k = 3; got %d rows" % rows):
+        model.loss_and_grads(nd, labels, model.zero_states(rows))
+    with pytest.raises(DataError, match="k = 3"):
+        model.predict_topk(nd, model.zero_states(rows))
+    with pytest.raises(DataError, match="k = 3"):
+        train_model(model, {"norm_delta": np.zeros((rows, 8)), "label": np.zeros((rows, 8))},
+                    TrainConfig(steps=1, window=4))
 
 
 def test_cluster_shared_label_mapping():
@@ -483,7 +498,9 @@ def test_build_cluster_vocabs_empty_cluster():
         train_len=3,
         min_input_count=1,
     )
-    assert lone[1] is None  # single miss, no deltas
+    # single miss, no deltas: a vocabulary with no classes
+    assert lone[1].n_input == lone[1].n_output == 0
+    assert lone[1].encode_output(np.array([5, -1])).tolist() == [0, 0]
 
 
 def test_cluster_dataset_construction():
@@ -507,7 +524,8 @@ def test_cluster_dataset_construction():
     # cluster 1 is shorter; padding carries label, target index and timestep -1
     assert ds["delta_raw"][1, 0] == 3
     assert ds["label"][1, 1] == ds["target_index"][1, 1] == ds["timestep"][1, 1] == -1
-    assert ds["cluster_id"].tolist() == [[0, 0], [1, 1]]
+    # a row's cluster is its index, so no column names it
+    assert sorted(ds) == ["delta_raw", "label", "norm_delta", "target_index", "timestep"]
 
 
 def test_batchify_contiguous_rows():
@@ -747,8 +765,7 @@ def test_cluster_prediction_sets_respect_test_start_and_vocab():
 def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
     """The decoding before lookup arrays: every event and id one at a time
     through a class-id -> delta dict, `vocabs` holding one vocab per row."""
-    decode = [None if v is None else dict(enumerate(v.deltas[: v.n_output].tolist()))
-              for v in vocabs]
+    decode = [dict(enumerate(v.deltas[: v.n_output].tolist())) for v in vocabs]
     if isinstance(model, ClusterPrefetcher):
         ds = dataset
     else:  # one row holding the whole stream
@@ -765,8 +782,7 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
                 # padding cells of a cluster row carry target index -1
                 if ds["target_index"][c, t] < test_start or ds["target_index"][c, t] < 0:
                     continue
-                preds = tuple(decode[c][int(i)] for i in ids[t - lo, c]
-                              if i >= 0 and decode[c] is not None)
+                preds = tuple(decode[c][int(i)] for i in ids[t - lo, c] if i >= 0)
                 out.append(Row(int(ds["timestep"][c, t]), preds, int(ds["delta_raw"][c, t])))
     out.sort(key=lambda s: s.timestep)
     return out
@@ -775,15 +791,13 @@ def per_event_prediction_sets(model, dataset, vocabs, test_start, k, window):
 def test_prediction_sets_equal_per_event_decoding():
     rng = np.random.default_rng(21)
     lines = np.cumsum(rng.choice([1, 2, 5, -3, 40], size=300)) + 10_000
-    # cluster 2 gets a single training miss and so no vocabulary
+    # cluster 2 gets a single training miss and so a vocabulary with no classes
     assignments = np.array([0, 1] * 140 + [2] + [0, 1] * 9 + [2])
     misses = misses_from_lines(lines, pcs=rng.integers(0, 4, 300))
     per_cluster = cluster_deltas(misses.line, assignments, 3)
     vocabs = build_cluster_vocabs(per_cluster, train_len=281, min_input_count=1)
-    assert vocabs[2] is None
-    model = ClusterPrefetcher(
-        vocab_sizes=[v.n_output if v else 0 for v in vocabs], hidden=6, layers=2, seed=4
-    )
+    assert vocabs[2].n_output == 0
+    model = ClusterPrefetcher([v.n_output for v in vocabs], hidden=6, layers=2, seed=4)
     norms = np.array([[0.0, 4.0], [0.0, 4.0], [0.0, 1.0]])
     ds = cluster_dataset(per_cluster, vocabs, norms, model)
     for test_start, k, window in ((210, 10, 512), (0, 3, 7), (250, 2, 1)):

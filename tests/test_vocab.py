@@ -111,9 +111,11 @@ def test_encode_decode_roundtrip():
     assert np.array_equal(w.deltas, v.deltas) and np.array_equal(w.counts, v.counts)
 
 
-def test_empty_vocab_rejected():
-    with pytest.raises(DataError):
-        build_vocab([])
+def test_empty_stream_gives_no_classes():
+    v = build_vocab([], max_output=4, min_input_count=1)
+    assert v.n_input == v.n_output == v.oov_input == v.oov_output == 0
+    assert v.output_coverage() == 0.0
+    assert v.encode_input([3, -2]).tolist() == v.encode_output([3, -2]).tolist() == [0, 0]
     with pytest.raises(DataError):
         DeltaVocab(np.array([1]), np.array([5]), max_output=0, min_input_count=1)
 
