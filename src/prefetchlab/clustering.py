@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TraceFormatError, read_exact
+from .errors import ConfigError, DataError, TraceFormatError, check_end, read_exact
 from .trace import MissStream
 
 
@@ -179,6 +179,7 @@ def load_cluster_model(path) -> tuple[ClusterModel, np.ndarray]:
             raise TraceFormatError(f"{path}: has-norms flag is {has_norms}, not 1")
         centroids = np.frombuffer(read_exact(f, 8 * k, path), dtype="<f8").copy()
         norms = np.frombuffer(read_exact(f, 16 * k, path), dtype="<f8").reshape(k, 2).copy()
+        check_end(f, path)
     if not (np.isfinite(centroids).all() and np.isfinite(norms).all()):
         raise TraceFormatError(f"{path}: non-finite centroid or norm param")
     if not (norms[:, 1] > 0).all():

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the bounds-checked read
-through which the binary artifact loaders report truncation."""
+"""Exception types shared across the package, and the bounds-checked reads
+through which the binary artifact loaders report truncation and trailing bytes."""
 
 import os
 
@@ -34,3 +34,13 @@ def read_exact(f, n: int, path) -> bytes:
             f"needed {n} bytes from offset {offset}"
         )
     return f.read(n)
+
+
+def check_end(f, path) -> None:
+    """Raise TraceFormatError naming `path`, the offset where the payload
+    ends and the count of bytes after it, unless binary file `f` ends there."""
+    offset = f.tell()
+    extra = os.fstat(f.fileno()).st_size - offset
+    if extra:
+        raise TraceFormatError(f"{path}: {extra} bytes after the payload, which ends at "
+                               f"byte offset {offset}")

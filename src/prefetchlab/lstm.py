@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError, read_exact
+from .errors import ConfigError, TraceFormatError, check_end, read_exact
 
 
 def sigmoid(x: np.ndarray, out=None, e=None) -> np.ndarray:
@@ -565,5 +565,6 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             arr = _aligned_empty(shape, dtype)
             arr[...] = np.frombuffer(read_exact(f, n_bytes, path), dtype=dtype).reshape(shape)
             arrays[name] = arr
+        check_end(f, path)
     return arrays, meta
 

@@ -67,7 +67,8 @@ class _LstmPrefetcher:
     Every method takes a window's (T, B) input arrays in `input_keys`
     order. Subclasses provide `_inputs(x, *inputs)`, which writes their
     encoding into `x`, the (T, B, D) input view of the window buffer that
-    `run_lstm` allocates per call, and may override `_mask_loss_logits`.
+    `run_lstm` allocates per call, and may override `_mask_logits`, whose
+    mask the loss, training and prediction all see.
     They put their own input tables into `params` before calling
     `_init_core`, so RNG draws and parameter order follow that order (a
     `seed` of None draws nothing and leaves zeros for `load_weights` to
@@ -92,6 +93,7 @@ class _LstmPrefetcher:
         params["head_W"] = uniform_init((n_classes, self.hidden), scale, rng, self.dtype)
         params["head_b"] = np.zeros(n_classes, dtype=self.dtype)
         self.params = params
+        self.oov_label = n_classes - 1  # the head's last class: trained, never predicted
 
     def zero_states(self, batch: int):
         return zero_states(self.layers, batch, self.hidden, self.dtype)
@@ -114,28 +116,24 @@ class _LstmPrefetcher:
         flat = H_top.reshape(T * B, H)
         logits = flat @ self.params["head_W"].T
         logits += self.params["head_b"]
+        self._mask_logits(logits)
         return logits, flat, new_states, caches
 
-    def _mask_loss_logits(self, logits):
-        """Mask the (T*B, C) logits in place before the loss; no mask here."""
-
-    def _loss_terms(self, inputs, labels, states, cache=False):
-        logits, flat, new_states, caches = self._forward(inputs, states, cache)
-        self._mask_loss_logits(logits)
-        # the logits buffer comes back as dlogits
-        loss, dlogits, _ = softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))
-        return loss, dlogits, flat, new_states, caches
+    def _mask_logits(self, logits):
+        """Mask the (T*B, C) logits in place; no mask here."""
 
     def loss(self, *args):
         """(loss, new states) of the inputs, then the labels and the states."""
         *inputs, labels, states = args
-        loss, _, _, new_states, _ = self._loss_terms(inputs, labels, states)
-        return loss, new_states
+        logits, _, new_states, _ = self._forward(inputs, states)
+        return softmax_cross_entropy(logits, np.asarray(labels).reshape(-1))[0], new_states
 
     def _core_grads(self, inputs, labels, states):
-        """Loss, grads keyed in `params` order (input tables left None),
-        dL/d(inputs) (T, B, D) and new states."""
-        loss, dlogits, flat, new_states, caches = self._loss_terms(inputs, labels, states, True)
+        """Loss, grads keyed in `params` order (input tables left None), new
+        states and dL/d(inputs) (T, B, D)."""
+        # the one name on the (T*B, C) head buffer, which the loss turns into dlogits
+        dlogits, flat, new_states, caches = self._forward(inputs, states, cache=True)
+        loss, dlogits, _ = softmax_cross_entropy(dlogits, np.asarray(labels).reshape(-1))
         # in params order: clip_global_norm sums the squares in dict order
         grads = dict.fromkeys(self.params)
         # the head's two gradient GEMMs, on two lanes at a large head; no name
@@ -153,7 +151,17 @@ class _LstmPrefetcher:
         for l in range(self.layers):
             grads[f"lstm{l}_W"] = dWs[l]
             grads[f"lstm{l}_b"] = dbs[l]
-        return loss, grads, dX, new_states
+        return loss, grads, new_states, dX
+
+    def _topk(self, inputs, states, k):
+        """(T, B, min(k, C - 1)) top-k class ids per position and the new
+        states. The OOV class is never scored; a masked-out slot comes back -1."""
+        logits, _, new_states, _ = self._forward(inputs, states)
+        scores = logits[:, :-1]
+        ids = topk_indices(scores, k)
+        picked = np.take_along_axis(scores, ids, axis=-1)
+        ids = np.where(picked > MASK_NEG / 2, ids, -1)
+        return ids.reshape(*np.shape(inputs[0]), -1), new_states
 
 
 class EmbeddingPrefetcher(_LstmPrefetcher):
@@ -174,7 +182,6 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
         super().__init__({"kind": "embedding", "n_delta_inputs": n_delta_inputs, "n_pcs": n_pcs,
                           "n_outputs": n_outputs, "embed": embed, "modality": modality},
                          hidden, layers, dtype)
-        self.n_outputs = n_outputs
         e_pc, e_delta = {
             "both": (embed, embed),
             "pc_only": (2 * embed, 0),
@@ -191,10 +198,6 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
             p["emb_delta"] = uniform_init((n_delta_inputs + 1, e_delta), scale, rng, self.dtype)
         self._init_core(p, rng, e_pc + e_delta, n_outputs + 1)
 
-    @property
-    def oov_output(self) -> int:
-        return self.n_outputs
-
     def training_batches(self, dataset: dict, n_train: int, batch: int) -> dict:
         """The events whose target miss is before `n_train`, in `batch` rows."""
         in_train = dataset["target_index"] < n_train
@@ -210,7 +213,7 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
             np.take(self.params["emb_delta"], delta_ids, axis=0, out=x[..., self.e_pc :])
 
     def loss_and_grads(self, pc_ids, delta_ids, labels, states):
-        loss, grads, dX, new_states = self._core_grads((pc_ids, delta_ids), labels, states)
+        loss, grads, new_states, dX = self._core_grads((pc_ids, delta_ids), labels, states)
         off = 0
         tables = (("emb_pc", pc_ids, self.e_pc), ("emb_delta", delta_ids, self.e_delta))
         for name, ids, width in tables:
@@ -220,12 +223,8 @@ class EmbeddingPrefetcher(_LstmPrefetcher):
         return loss, grads, new_states
 
     def predict_topk(self, pc_ids, delta_ids, states, k: int = 10):
-        """Top-k output class ids per position; the OOV class never appears."""
-        logits, _, new_states, _ = self._forward((pc_ids, delta_ids), states)
-        scores = logits[:, : self.n_outputs]
-        T, B = pc_ids.shape
-        ids = topk_indices(scores, k).reshape(T, B, -1)
-        return ids, new_states
+        """Top-k output class ids per position (`_topk`)."""
+        return self._topk((pc_ids, delta_ids), states, k)
 
 
 class ClusterPrefetcher(_LstmPrefetcher):
@@ -234,8 +233,8 @@ class ClusterPrefetcher(_LstmPrefetcher):
     `vocab_sizes[c]` is the dense output count of cluster c (0 for a
     cluster whose vocabulary has no classes). A batch has k rows, row c
     being cluster c's stream. The shared head has max(vocab_sizes) + 1
-    classes; the last one is the shared OOV label. Per-cluster additive
-    masks hide classes outside a cluster's vocabulary.
+    classes; the last one is the shared OOV label. A per-cluster additive
+    mask hides classes outside a cluster's vocabulary.
     """
 
     input_keys = ("norm_delta",)
@@ -251,18 +250,11 @@ class ClusterPrefetcher(_LstmPrefetcher):
         rng = None if seed is None else np.random.default_rng(seed)
         self._init_core({}, rng, 1 + self.k, self.head_size)
 
-        # loss mask allows a cluster's own classes plus the shared OOV slot;
-        # the prediction mask additionally hides OOV
-        self.loss_mask = np.full((self.k, self.head_size), MASK_NEG, dtype=self.dtype)
-        self.pred_mask = np.full((self.k, self.head_size), MASK_NEG, dtype=self.dtype)
+        # row c leaves cluster c's own classes and the shared OOV slot open
+        self.mask = np.full((self.k, self.head_size), MASK_NEG, dtype=self.dtype)
         for c, n in enumerate(vocab_sizes):
-            self.loss_mask[c, :n] = 0.0
-            self.loss_mask[c, -1] = 0.0
-            self.pred_mask[c, :n] = 0.0
-
-    @property
-    def oov_label(self) -> int:
-        return self.head_size - 1
+            self.mask[c, :n] = 0.0
+            self.mask[c, -1] = 0.0
 
     def shared_label(self, output_ids, cluster: int):
         """Map per-cluster vocab output ids into the shared head."""
@@ -285,23 +277,16 @@ class ClusterPrefetcher(_LstmPrefetcher):
         x[..., 0] = norm_delta
         x[..., 1:] = np.eye(self.k, dtype=self.dtype)
 
-    def _mask_loss_logits(self, logits):
+    def _mask_logits(self, logits):
         rows = logits.reshape(-1, self.k, self.head_size)
-        rows += self.loss_mask
+        rows += self.mask
 
     def loss_and_grads(self, norm_delta, labels, states):
-        loss, grads, _, new_states = self._core_grads((norm_delta,), labels, states)
-        return loss, grads, new_states
+        return self._core_grads((norm_delta,), labels, states)[:3]
 
     def predict_topk(self, norm_delta, states, k: int = 10):
-        """Top-k shared-head ids per position; masked-out slots come back -1."""
-        scores, _, new_states, _ = self._forward((norm_delta,), states)
-        rows = scores.reshape(-1, self.k, self.head_size)
-        rows += self.pred_mask
-        ids = topk_indices(scores, min(k, self.head_size))
-        picked = np.take_along_axis(scores, ids, axis=-1)
-        ids = np.where(picked > MASK_NEG / 2, ids, -1)
-        return ids.reshape(len(norm_delta), self.k, -1), new_states
+        """Top-k shared-head ids per position (`_topk`)."""
+        return self._topk((norm_delta,), states, k)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +476,7 @@ def load_weights(model, path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _prediction_sets(model, rows: dict, tables: list, keep, width: int, k: int,
-                     window: int) -> Predictions:
+def _prediction_sets(model, rows: dict, tables: list, keep, k: int, window: int) -> Predictions:
     """The `keep` events of (rows, cols) streams run side by side as batch
     rows, row c's ids decoded through `tables[c]` by one `np.take` per
     window and the rows merged by a stable sort on the timestep. A window
@@ -502,6 +486,7 @@ def _prediction_sets(model, rows: dict, tables: list, keep, width: int, k: int,
     offset = np.cumsum([0] + [len(t) for t in tables[:-1]])
     table = np.concatenate(tables + [np.zeros(1, dtype=np.int64)])
     n = int(np.count_nonzero(keep))
+    width = min(k, model.oov_label)  # every head class but OOV
     out = Predictions(*(np.empty(shape, dtype=np.int64) for shape in (n, (n, width), n, n)))
     states = model.zero_states(len(keep))
     at = 0
@@ -533,8 +518,7 @@ def embedding_prediction_sets(model: EmbeddingPrefetcher, dataset: dict, delta_v
     target miss index is >= test_start."""
     rows = {key: a.reshape(1, -1) for key, a in dataset.items()}
     table = delta_vocab.deltas[: delta_vocab.n_output]
-    return _prediction_sets(model, rows, [table], rows["target_index"] >= test_start,
-                            min(k, model.n_outputs), k, window)
+    return _prediction_sets(model, rows, [table], rows["target_index"] >= test_start, k, window)
 
 
 def cluster_prediction_sets(model: ClusterPrefetcher, dataset: dict,
@@ -545,4 +529,4 @@ def cluster_prediction_sets(model: ClusterPrefetcher, dataset: dict,
     cells carry target index -1."""
     keep = dataset["target_index"] >= test_start
     tables = [v.deltas[: v.n_output] for v in vocabs]
-    return _prediction_sets(model, dataset, tables, keep, min(k, model.head_size), k, window)
+    return _prediction_sets(model, dataset, tables, keep, k, window)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TraceFormatError, read_exact
+from .errors import DataError, TraceFormatError, check_end, read_exact
 from .trace import MissStream
 
 
@@ -198,6 +198,7 @@ def load_vocab(path) -> DeltaVocab:
         if version != VOCAB_VERSION:
             raise TraceFormatError(f"{path}: unsupported vocab version {version}")
         stored = np.frombuffer(read_exact(f, n * _VOCAB_ENTRY.itemsize, path), _VOCAB_ENTRY)
+        check_end(f, path)
     deltas, counts = stored["delta"], stored["count"].astype(np.int64)
     ascending = np.sort(deltas)
     if np.any(ascending[1:] == ascending[:-1]):

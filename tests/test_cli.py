@@ -544,7 +544,7 @@ def garbled_first_dimension(data, dim):
     "cfg,stages,artifacts",
     [
         (STRIDE_CFG, ("simulate", "vocab", "train"), ("model.bin", "vocab.bin")),
-        (REGION_CFG, ("simulate", "cluster", "train"), ("clusters.bin",)),
+        (REGION_CFG, ("simulate", "cluster", "train"), ("clusters.bin", "model.bin")),
     ],
 )
 def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, stages, artifacts):
@@ -557,6 +557,7 @@ def test_truncated_artifacts_exit_1_with_one_error_line(tmp_path, capsys, cfg, s
         data = path.read_bytes()
         offsets = sorted({o for o in (0, 10, 40, 200, len(data) // 2, len(data) - 1) if o < len(data)})
         damaged = [(f"cut at {offset}", data[:offset]) for offset in offsets]
+        damaged.append(("16 bytes appended", data + bytes(16)))
         if artifact == "model.bin":
             at = data.index(b"<f8")  # the first stored dtype, its kind garbled
             damaged.append(("dtype <Z8", data[:at + 1] + b"Z" + data[at + 2:]))

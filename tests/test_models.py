@@ -133,7 +133,7 @@ def test_embedding_grads_bit_equal_to_row_scatter(monkeypatch, dtype, modality):
 
     def spy(*args):
         out = core_grads(*args)
-        captured.append(out[2])
+        captured.append(out[3])
         return out
 
     monkeypatch.setattr(model, "_core_grads", spy)
@@ -397,23 +397,31 @@ def test_embedding_oov_rows_exist():
     assert model.params["head_W"].shape[0] == 6  # 5 + OOV
 
 
-def test_predict_topk_never_emits_oov():
-    model = tiny_embedding_model()
-    # force the OOV logit to dominate
+@pytest.mark.parametrize("kind", ["embedding", "cluster"])
+def test_predict_topk_never_emits_oov(kind):
+    """The OOV class, the head's last, is never predicted, even where its
+    logit dominates and the cluster mask leaves it open."""
+    if kind == "embedding":
+        model = tiny_embedding_model()
+        inputs = np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)
+    else:
+        model = ClusterPrefetcher(vocab_sizes=[2, 5], hidden=6, layers=1, seed=0)
+        inputs = (np.zeros((3, 2)),)
+    assert model.oov_label == 5
     model.params["head_b"][:] = 0.0
-    model.params["head_b"][model.oov_output] = 100.0
-    pc = np.zeros((3, 2), dtype=np.int64)
-    din = np.zeros((3, 2), dtype=np.int64)
-    ids, _ = model.predict_topk(pc, din, model.zero_states(2), k=10)
+    model.params["head_b"][model.oov_label] = 100.0
+    ids, _ = model.predict_topk(*inputs, model.zero_states(2), k=10)
     assert ids.shape == (3, 2, 5)
-    assert np.all(ids != model.oov_output)
-    assert np.all(ids < model.n_outputs)
+    assert model.oov_label not in ids
+    assert np.all(ids < model.oov_label)
 
 
 def test_cluster_predict_respects_masks():
     model = ClusterPrefetcher(vocab_sizes=[2, 5], hidden=6, layers=1, seed=0)
     nd = np.zeros((2, 2))
     ids, _ = model.predict_topk(nd, model.zero_states(2), k=10)
+    # every head class but OOV: head_size - 1 columns at k = 10
+    assert ids.shape == (2, 2, model.head_size - 1)
     # cluster 0 has only 2 valid classes; the rest of its top-10 is padded with -1
     row0 = ids[0, 0]
     assert set(row0[row0 >= 0].tolist()) == {0, 1}
